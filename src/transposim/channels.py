@@ -4,11 +4,17 @@ A channel is stored by its CJ matrix chi = (I (x) E)[|phi+><phi+|], with the
 reference copy first and the output factor second.  The inverse direction is
 E[rho] = d * tr_ref{ chi (rho^T (x) I) }.  Kraus views are derived on demand
 from the CJ eigendecomposition.
+
+The kernels work on stacked arrays rather than one operator at a time: a
+measure-and-prepare CJ matrix is one (N, d^2)^T @ (N, d^2) product of the
+stacked E_k^T and |p_k><p_k|, and `apply_to_factor` contracts the stacked
+Kraus operators with the reshaped state instead of forming kron(I, K, I).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,15 +150,15 @@ def apply_to_factor(e: Channel, rho: DensityMatrix, factor: int) -> DensityMatri
         raise IndexError(f"factor {factor} out of range for dims {dims}")
     if dims[factor] != e.d_in:
         raise DomainError(f"factor {factor} has dimension {dims[factor]}, channel expects {e.d_in}")
-    n = len(dims)
-    left = int(np.prod(dims[:factor], dtype=int))
-    right = int(np.prod(dims[factor + 1:], dtype=int))
-    out = np.zeros_like(rho.mat)
-    for k in kraus_ops(e):
-        big = np.kron(np.kron(np.eye(left), k), np.eye(right))
-        out += big @ rho.mat @ big.conj().T
+    left = math.prod(dims[:factor])
+    right = math.prod(dims[factor + 1:])
+    k = np.stack(kraus_ops(e))                                  # (r, d_out, d_in)
+    t = rho.mat.reshape(left, e.d_in, right, left, e.d_in, right)
+    t = np.einsum("kim,ambcnd->kaibcnd", k, t)                  # K_k on the row index
+    out = np.einsum("kaibcnd,kjn->aibcjd", t, k.conj())         # K_k^dag on the column
     new_dims = dims[:factor] + (e.d_out,) + dims[factor + 1:]
-    return DensityMatrix(out, dims=new_dims)
+    size = left * e.d_out * right
+    return DensityMatrix(out.reshape(size, size), dims=new_dims)
 
 
 def cj_distance(a: Channel, b: Channel) -> float:
@@ -175,22 +181,27 @@ def measure_prepare_from_design(g: Design) -> tuple[MeasurePrepare, Channel]:
         raise DomainError(f"design is not coherent (projector-sum residual {resc:.3e})")
     d, n = g.d, g.n
     arr = design_matrix(g)
-    effects = tuple(Operator((d / n) * np.outer(v, v.conj())) for v in arr)
-    preps = tuple(Ket(v.conj()) for v in arr)
+    projectors = arr[:, :, None] * arr[:, None, :].conj()
+    effects = tuple(Operator(p) for p in (d / n) * projectors)
+    preps = tuple(Ket(v) for v in arr.conj())
     mp = MeasurePrepare(effects, preps)
     return mp, channel_from_measure_prepare(mp)
 
 
 def channel_from_measure_prepare(mp: MeasurePrepare) -> Channel:
     """CJ matrix of rho -> sum_k tr{E_k rho} |p_k><p_k|."""
-    d = mp.effects[0].dim
-    total = sum(e.mat for e in mp.effects)
-    if float(np.abs(total - np.eye(d)).max()) > 1e-10:
+    d, n = mp.effects[0].dim, len(mp.effects)
+    if len(mp.preparations) != n:
+        raise DomainError(f"{n} effects but {len(mp.preparations)} prepared states")
+    effects = np.stack([e.mat for e in mp.effects])              # (N, d, d)
+    if float(np.abs(effects.sum(axis=0) - np.eye(d)).max()) > 1e-10:
         raise DomainError("effects do not sum to the identity")
-    cj = np.zeros((d * d, d * d), dtype=complex)
-    for eff, prep in zip(mp.effects, mp.preparations):
-        # (I (x) E)[|phi+><phi+|] contributes E_k^T / d  (x)  |p_k><p_k|
-        cj += np.kron(eff.mat.T / d, np.outer(prep.vec, prep.vec.conj()))
+    preps = np.stack([p.vec for p in mp.preparations])           # (N, d)
+    projectors = preps[:, :, None] * preps[:, None, :].conj()
+    # (I (x) E)[|phi+><phi+|] = sum_k E_k^T / d (x) |p_k><p_k|; the product
+    # below holds it as [(a, c), (b, e)] for the kron entry [(a, b), (c, e)]
+    t = effects.transpose(0, 2, 1).reshape(n, d * d).T @ projectors.reshape(n, d * d)
+    cj = (t / d).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     return _channel(cj, d)
 
 

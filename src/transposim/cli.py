@@ -70,7 +70,10 @@ def _emit(args, doc: dict) -> None:
 
 def _fiducial_for(dim: int, path: str | None):
     if path:
-        return load_fiducial(path)
+        f = load_fiducial(path)
+        if f.d != dim:
+            raise ParseError(f"{path}: fiducial has dimension {f.d}, expected dimension {dim}")
+        return f
     return builtin_fiducial(dim)
 
 
@@ -249,7 +252,7 @@ def cmd_detect(args) -> int:
         ],
         "caveats": caveats,
     }
-    if args.shots:
+    if args.shots is not None:
         ver = detect_with_confidence(rho, a, shots=args.shots, seed=args.seed, level=args.confidence)
         print(f"shots           : {args.shots}")
         print(f"estimate        : {ver.shot_result.estimate:.6g}")
@@ -295,6 +298,16 @@ def cmd_verify_all(args) -> int:
     return OK if passed else CHECK_FAILED
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="transposim",
@@ -331,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="evaluate the approximate witness on a state")
     p.add_argument("--state", metavar="FILE", required=True)
     p.add_argument("--cut", metavar="SPEC", required=True, help="e.g. A|BC")
-    p.add_argument("--shots", type=int, default=None)
+    p.add_argument("--shots", type=_positive_int, default=None)
     p.add_argument("--confidence", type=float, default=0.99)
     p.add_argument("--fiducial", metavar="FILE", default=None)
     _common(p)

@@ -75,8 +75,9 @@ def design_matrix(g: Design) -> np.ndarray:
 
 def _pair_projector_sum(vectors: np.ndarray) -> np.ndarray:
     """(1/N) sum_k |x_k x_k><x_k x_k| on the doubled space."""
-    xx = np.stack([np.kron(v, v) for v in vectors])
-    return np.einsum("ka,kb->ab", xx, xx.conj()) / len(vectors)
+    n, d = vectors.shape
+    xx = (vectors[:, :, None] * vectors[:, None, :]).reshape(n, d * d)  # row k: x_k (x) x_k
+    return (xx.T @ xx.conj()) / n
 
 
 def two_design_residual(vectors: np.ndarray, d: int) -> float:
@@ -96,12 +97,17 @@ def make_design(vectors, kind: str = "custom") -> Design:
     if not kets:
         raise DomainError("a design needs at least one vector")
     d = kets[0].dim
-    for i, k in enumerate(kets):
-        if k.dim != d:
-            raise DomainError(f"vector {i} has dimension {k.dim}, expected {d}")
-        if abs(k.norm() - 1.0) > 1e-12:
-            raise ValidationError("norm", abs(k.norm() - 1.0))
-    arr = np.stack([k.vec for k in kets])
+    # the first vector of another dimension ends the batch; a norm failure
+    # before it is reported first, as a vector-by-vector scan would
+    n_same = next((i for i, k in enumerate(kets) if k.dim != d), len(kets))
+    arr = np.stack([k.vec for k in kets[:n_same]])
+    norm_dev = np.abs(np.linalg.norm(arr, axis=1) - 1.0)
+    bad = np.flatnonzero(norm_dev > 1e-12)
+    if bad.size:
+        raise ValidationError("norm", float(norm_dev[bad[0]]))
+    if n_same < len(kets):
+        k = kets[n_same]
+        raise DomainError(f"vector {n_same} has dimension {k.dim}, expected {d}")
     res2 = two_design_residual(arr, d)
     resc = coherence_residual(arr, d)
     if res2 < TWO_DESIGN_TOL and len(kets) < d * (d + 1) // 2:
@@ -156,14 +162,14 @@ def builtin_fiducial(d: int) -> Fiducial:
 def hw_orbit(f: Fiducial) -> np.ndarray:
     """All d^2 orbit vectors X^k Z^l |fiducial>, indexed k*d + l."""
     d = f.d
-    wp = weyl_pair(d)
-    out = np.empty((d * d, d), dtype=complex)
-    zl = [np.linalg.matrix_power(wp.z.mat, l) for l in range(d)]
-    xk = [np.linalg.matrix_power(wp.x.mat, k) for k in range(d)]
-    for k in range(d):
-        for l in range(d):
-            out[k * d + l] = xk[k] @ (zl[l] @ f.ket.vec)
-    return out
+    if d < 2:
+        raise DomainError(f"Weyl pair needs dimension >= 2, got {d}")
+    idx = np.arange(d)
+    # (X^k Z^l a)_n = omega^(l m) a_m with m = n - k mod d
+    m = (idx[None, :] - idx[:, None]) % d              # [k, n]
+    lm = (idx[None, :, None] * m[:, None, :]) % d      # [k, l, n]
+    out = np.exp(2j * np.pi * lm / d) * f.ket.vec[m][:, None, :]
+    return out.reshape(d * d, d)
 
 
 def sic_from_fiducial(f: Fiducial) -> Design:
@@ -231,12 +237,13 @@ def mub_prime(d: int) -> Design:
         )
         return make_design(vecs, kind="MUB")
     omega = np.exp(2j * np.pi / d)
-    m = np.arange(d)
-    bases = [np.eye(d, dtype=complex)]
-    for a in range(d):
-        basis = np.stack([omega ** ((a * m * m + b * m) % d) / np.sqrt(d) for b in range(d)])
-        bases.append(basis)
-    return make_design(np.concatenate(bases), kind="MUB")
+    a = np.arange(d)[:, None, None]
+    b = np.arange(d)[None, :, None]
+    m = np.arange(d)[None, None, :]
+    gauss = omega ** ((a * m * m + b * m) % d) / np.sqrt(d)  # [a, b, m]
+    return make_design(
+        np.concatenate([np.eye(d, dtype=complex), gauss.reshape(d * d, d)]), kind="MUB"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +404,12 @@ def _load_vectors(path: str) -> tuple[int, list[np.ndarray]]:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc or "vectors" not in doc:
         raise ParseError(f"{path}: expected keys 'dim' and 'vectors'")
-    d = int(doc["dim"])
+    try:
+        d = int(doc["dim"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: 'dim' must be an integer, got {doc['dim']!r}") from exc
+    if not isinstance(doc["vectors"], list):
+        raise ParseError(f"{path}: 'vectors' must be a list of vectors")
     vecs = [_pairs_to_vector(p) for p in doc["vectors"]]
     for i, v in enumerate(vecs):
         if v.size != d:
@@ -409,9 +421,12 @@ def _load_vectors(path: str) -> tuple[int, list[np.ndarray]]:
 
 
 def save_fiducial(f: Fiducial, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump({"dim": f.d, "vectors": [_vector_to_pairs(f.ket.vec)]}, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump({"dim": f.d, "vectors": [_vector_to_pairs(f.ket.vec)]}, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def load_fiducial(path: str) -> Fiducial:

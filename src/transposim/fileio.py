@@ -70,13 +70,14 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 
 
 def save_state(rho: DensityMatrix, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_dict(rho), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(state_to_dict(rho), path)
 
 
 def write_json(doc: dict, path: str) -> None:
     """Byte-stable JSON output: sorted keys, fixed indentation, trailing newline."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc

@@ -9,6 +9,7 @@ seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ NORM_TOL = 1e-12
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
-    if not np.all(np.isfinite(out.view(float))):
+    if not np.isfinite(out).all():
         raise DomainError("non-finite entries (NaN/Inf) are not allowed")
     out.setflags(write=False)
     return out
@@ -33,7 +34,7 @@ def _as_dims(dims, total: int) -> tuple[int, ...]:
     dims = (total,) if dims is None else tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise DomainError(f"factor dimensions must be positive, got {dims}")
-    if int(np.prod(dims)) != total:
+    if math.prod(dims) != total:
         raise DomainError(f"dims {dims} do not multiply to total dimension {total}")
     return dims
 

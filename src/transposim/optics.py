@@ -150,17 +150,17 @@ def path_probabilities(pipe: Fig2Pipeline, rho: DensityMatrix) -> np.ndarray:
     """Probability of the photon exiting through each of the four paths."""
     if rho.dim != 2:
         raise DomainError(f"polarization state must be a qubit, got dimension {rho.dim}")
-    return np.array(
-        [float(np.real(np.trace(m.mat @ rho.mat))) for m in pipe.effects]
-    )
+    effects = np.stack([m.mat for m in pipe.effects])
+    return np.einsum("kij,ji->k", effects, rho.mat).real
 
 
 def run_pipeline(pipe: Fig2Pipeline, rho: DensityMatrix) -> tuple[np.ndarray, DensityMatrix]:
     """Path probabilities and the coupler output state (the incoherent path mixture)."""
     probs = path_probabilities(pipe, rho)
-    out = np.zeros((2, 2), dtype=complex)
-    for p, k in zip(probs, pipe.prepared_states):
-        out += p * np.outer(k.vec, k.vec.conj())
+    prepared = np.stack([k.vec for k in pipe.prepared_states])
+    projectors = prepared[:, :, None] * prepared[:, None, :].conj()
+    # a sum over the leading axis adds the paths in order, as the loop form does
+    out = (probs[:, None, None] * projectors).sum(axis=0)
     return probs, DensityMatrix(out)
 
 

@@ -40,35 +40,31 @@ class CorrectionSet:
     partial_isometry: bool
 
 
-def _fourier_vectors(d: int) -> np.ndarray:
+def _fourier_effects(d: int) -> np.ndarray:
+    """Projectors B_l onto the Fourier basis, stacked as (d, d, d)."""
     omega = np.exp(2j * np.pi / d)
     m = np.arange(d)
-    return np.stack([omega ** (m * l) / np.sqrt(d) for l in range(d)])
+    fv = omega ** (m[:, None] * m[None, :]) / np.sqrt(d)  # row l: the l-th Fourier vector
+    return fv[:, :, None] * fv[:, None, :].conj()
 
 
-def _first_kraus(amps: np.ndarray, k_sign: int) -> list[np.ndarray]:
+def _kraus_diagonals(amps: np.ndarray, k_sign: int) -> np.ndarray:
+    """Row k is the diagonal of A_k: amplitude alpha_m sits at m + k_sign*k mod d."""
     d = amps.size
-    out = []
-    for k in range(d):
-        a = np.zeros((d, d), dtype=complex)
-        for m in range(d):
-            j = (m + k_sign * k) % d
-            a[j, j] = amps[m]
-        out.append(a)
-    return out
+    j = np.arange(d)
+    return amps[(j[None, :] - k_sign * j[:, None]) % d]
 
 
-def _assemble(amps: np.ndarray, l_sign: int, k_sign: int) -> tuple[list, list, list]:
+def _assemble(
+    amps: np.ndarray, l_sign: int, k_sign: int, effects: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Kraus diagonals (d, d), assembled A_k^dag B_{l_sign*l} A_k stacked (d^2, d, d))."""
     d = amps.size
-    fv = _fourier_vectors(d)
-    kraus = _first_kraus(amps, k_sign)
-    effects = [np.outer(fv[l], fv[l].conj()) for l in range(d)]
-    assembled = []
-    for k in range(d):
-        for l in range(d):
-            b = effects[(l_sign * l) % d]
-            assembled.append(kraus[k].conj().T @ b @ kraus[k])
-    return kraus, effects, assembled
+    diag = _kraus_diagonals(amps, k_sign)
+    b = effects[(l_sign * np.arange(d)) % d]
+    # for diagonal A_k: (A_k^dag B A_k)_ij = conj(a_ki) B_ij a_kj
+    assembled = diag.conj()[:, None, :, None] * b[None] * diag[:, None, None, :]
+    return diag, assembled.reshape(d * d, d, d)
 
 
 def build_two_step(f: Fiducial) -> TwoStepMeasurement:
@@ -81,7 +77,8 @@ def build_two_step(f: Fiducial) -> TwoStepMeasurement:
     sic_from_fiducial(f)  # raises NotSICError if the orbit is not a SIC family
     d = f.d
     orbit = hw_orbit(f)
-    targets = [np.outer(v, v.conj()) / d for v in orbit]
+    targets = orbit[:, :, None] * orbit[:, None, :].conj() / d
+    effects = _fourier_effects(d)
     residuals: dict[str, float] = {}
     variants = [
         (amp, l_sign, k_sign)
@@ -91,17 +88,15 @@ def build_two_step(f: Fiducial) -> TwoStepMeasurement:
     ]
     for amp, l_sign, k_sign in variants:
         amps = f.alphas.conj() if amp == "conjugated" else f.alphas
-        kraus, effects, assembled = _assemble(amps, l_sign, k_sign)
-        worst = max(
-            float(np.abs(m - t).max()) for m, t in zip(assembled, targets)
-        )
+        diag, assembled = _assemble(amps, l_sign, k_sign, effects)
+        worst = float(np.abs(assembled - targets).max())
         name = f"amplitudes={amp}, l_sign={l_sign:+d}, k_sign={k_sign:+d}"
         residuals[name] = worst
         if worst < ASSEMBLY_TOL:
             return TwoStepMeasurement(
                 d,
                 f,
-                tuple(Operator(a) for a in kraus),
+                tuple(Operator(np.diag(a)) for a in diag),
                 tuple(Operator(b) for b in effects),
                 tuple(Operator(m) for m in assembled),
                 convention=name,
@@ -147,12 +142,9 @@ def simulate_circuit(f: Fiducial, rho: DensityMatrix) -> tuple[np.ndarray, Densi
     if rho.dim != d:
         raise DomainError(f"state dimension {rho.dim} does not match fiducial dimension {d}")
     orbit = hw_orbit(f)
-    probs = np.array(
-        [float(np.real(np.trace(m.mat @ rho.mat))) for m in ts.assembled]
-    )
-    out = np.zeros((d, d), dtype=complex)
-    for p, s in zip(probs, orbit):
-        out += p * np.outer(s.conj(), s)
+    effects = np.stack([m.mat for m in ts.assembled])
+    probs = np.einsum("kij,ji->k", effects, rho.mat).real
+    out = np.einsum("k,ki,kj->ij", probs, orbit.conj(), orbit)  # sum_k p_k |s*_k><s*_k|
     return probs, DensityMatrix(out)
 
 

@@ -7,8 +7,11 @@ from transposim import (
     DensityMatrix,
     ParseError,
     ValidationError,
+    builtin_fiducial,
     haar_random_density,
+    load_fiducial,
     parse_state_file,
+    save_fiducial,
     save_state,
 )
 from transposim.cli import main
@@ -242,3 +245,65 @@ def test_cli_tripartite_demo(tmp_path, capsys):
 
 def test_cli_missing_state_file():
     assert main(["detect", "--state", "/nonexistent.json", "--cut", "A|B"]) == 2
+
+
+def qubit_fiducial_file(tmp_path):
+    s = 1 / np.sqrt(6)
+    fid = [np.sqrt(3 + np.sqrt(3)) * s, np.exp(1j * np.pi / 4) * np.sqrt(3 - np.sqrt(3)) * s]
+    return write_json(
+        tmp_path / "fid2.json", {"dim": 2, "vectors": [[[c.real, c.imag] for c in fid]]}
+    )
+
+
+def assert_one_line_usage_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+def test_cli_fiducial_dimension_must_match_state(tmp_path, capsys):
+    state = tmp_path / "q3.json"
+    save_state(DensityMatrix(np.eye(3) / 3), str(state))
+    argv = ["apply-approx-transpose", "--state", str(state), "--via", "design"]
+    code = main(argv + ["--fiducial", qubit_fiducial_file(tmp_path)])
+    err = assert_one_line_usage_error(code, capsys)
+    assert "dimension 2" in err and "dimension 3" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": "abc", "vectors": [[[1.0, 0.0], [0.0, 0.0]]]},
+        {"dim": 2, "vectors": 5},
+    ],
+    ids=["dim-abc", "vectors-5"],
+)
+def test_cli_malformed_fiducial_file_is_a_usage_error(tmp_path, capsys, doc):
+    path = write_json(tmp_path / "fid.json", doc)
+    with pytest.raises(ParseError):
+        load_fiducial(path)
+    code = main(["verify-design", "--dim", "2", "--kind", "sic", "--fiducial", path])
+    assert_one_line_usage_error(code, capsys)
+
+
+def test_cli_json_into_missing_directory_is_a_usage_error(tmp_path, capsys):
+    report = tmp_path / "missing_dir" / "report.json"
+    code = main(["tripartite-demo", "--json", str(report)])
+    err = assert_one_line_usage_error(code, capsys)
+    assert "cannot write" in err
+    with pytest.raises(ParseError):
+        save_state(DensityMatrix(np.eye(2) / 2), str(report))
+    with pytest.raises(ParseError):
+        save_fiducial(builtin_fiducial(2), str(report))
+
+
+@pytest.mark.parametrize("shots", ["0", "-3"])
+def test_cli_detect_rejects_shots_below_one_before_printing(tmp_path, capsys, shots):
+    state = singlet_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--state", state, "--cut", "A|B", "--shots", shots])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--shots" in err
