@@ -7,20 +7,22 @@ from the CJ eigendecomposition.
 
 The kernels work on stacked arrays rather than one operator at a time: a
 measure-and-prepare CJ matrix is one (N, d^2)^T @ (N, d^2) product of the
-stacked E_k^T and |p_k><p_k|, and `apply_to_factor` contracts the stacked
-Kraus operators with the reshaped state instead of forming kron(I, K, I).
+stacked E_k^T and |p_k><p_k|, `_measure_and_prepare` applies a
+measure-and-prepare pair to a state for the two-step circuit and the optics
+pipeline, and `apply_to_factor` contracts the stacked Kraus operators with the
+reshaped state instead of forming kron(I, K, I).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Design, design_matrix, verify_coherent, verify_two_design
+from .designs import Design, _identity_plus_swap, design_matrix
 from .errors import DomainError, NotTracePreserving, ParseError
+from .fileio import _integer, _matrix, _pairs, _read_json, write_json
 from .linalg import DensityMatrix, Ket, Operator, swap_operator
 
 CJ_TOL = 1e-10
@@ -94,8 +96,7 @@ def approx_transpose(d: int) -> Channel:
     """
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    cj = (np.eye(d * d) + swap_operator(d).mat) / (d * (d + 1))
-    return _channel(cj, d)
+    return _channel(_identity_plus_swap(d), d)
 
 
 def cj_state(e: Channel) -> DensityMatrix:
@@ -173,8 +174,7 @@ def measure_prepare_from_design(g: Design) -> tuple[MeasurePrepare, Channel]:
     prepared states are the complex conjugates |x_k*>.  The induced channel is
     the approximate transpose, independent of which design was used.
     """
-    res2 = verify_two_design(g)
-    resc = verify_coherent(g)
+    res2, resc = g.two_design_residual, g.coherence_residual
     if res2 >= 1e-10:
         raise DomainError(f"design fails the two-design check (residual {res2:.3e})")
     if resc >= 1e-10:
@@ -205,6 +205,16 @@ def channel_from_measure_prepare(mp: MeasurePrepare) -> Channel:
     return _channel(cj, d)
 
 
+def _measure_and_prepare(
+    effects: np.ndarray, preps: np.ndarray, rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """p_k = tr{E_k rho} and sum_k p_k |p_k><p_k| for stacked (N, d, d) effects, (N, d) states."""
+    probs = np.einsum("kij,ji->k", effects, rho).real
+    projectors = preps[:, :, None] * preps[:, None, :].conj()
+    # a sum over the leading axis adds the outcomes in order, as the loop form does
+    return probs, (probs[:, None, None] * projectors).sum(axis=0)
+
+
 def pointwise_transpose_fidelity(e: Channel, psi: Ket) -> float:
     """<psi*| E[|psi><psi|] |psi*>, the conjugation fidelity on a pure state."""
     if not e.cptp:
@@ -222,32 +232,17 @@ def pointwise_transpose_fidelity(e: Channel, psi: Ket) -> float:
 
 
 def save_channel(e: Channel, path: str) -> None:
-    grid = [[[float(c.real), float(c.imag)] for c in row] for row in e.cj.mat]
-    with open(path, "w") as fh:
-        json.dump({"d_in": e.d_in, "d_out": e.d_out, "cj": grid}, fh, indent=2)
-        fh.write("\n")
+    write_json({"d_in": e.d_in, "d_out": e.d_out, "cj": [_pairs(row) for row in e.cj.mat]}, path)
 
 
 def load_channel(path: str) -> Channel:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    doc = _read_json(path)
     for key in ("d_in", "d_out", "cj"):
         if not isinstance(doc, dict) or key not in doc:
             raise ParseError(f"{path}: missing key '{key}'")
-    d_in, d_out = int(doc["d_in"]), int(doc["d_out"])
-    if d_in != d_out:
-        raise ParseError(f"{path}: only square channels are supported")
-    try:
-        cj = np.array(
-            [[complex(float(c[0]), float(c[1])) for c in row] for row in doc["cj"]]
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: CJ entries must be [re, im] pairs: {exc}") from exc
-    if cj.shape != (d_in * d_out, d_in * d_out):
-        raise ParseError(f"{path}: CJ matrix has shape {cj.shape}")
-    if not np.all(np.isfinite(cj.view(float))):
-        raise ParseError(f"{path}: non-finite CJ entry")
+    d_in = _integer(doc["d_in"], f"{path}: 'd_in'")
+    d_out = _integer(doc["d_out"], f"{path}: 'd_out'")
+    if d_in != d_out or d_in < 1:
+        raise ParseError(f"{path}: channels must be square with d_in >= 1, got {d_in} -> {d_out}")
+    cj = _matrix(doc["cj"], d_in * d_out, f"{path}: the CJ matrix")
     return _channel(cj, d_in)

@@ -41,11 +41,12 @@ from .errors import (
     ValidationError,
 )
 from .estimator import detect_with_confidence, estimator_to_dict
-from .fileio import parse_state_file, save_state, state_to_dict, write_json
+from .fileio import _pairs, parse_state_file, save_state, state_to_dict, write_json
 from .linalg import DensityMatrix
 from .optics import build_fig2_pipeline, output_channel
 from .twostep import two_step_channel
 from .witness import (
+    DetectionReport,
     detect,
     evaluate_tripartite_example,
     multipartite_aew,
@@ -126,13 +127,7 @@ def cmd_search_fiducial(args) -> int:
     if args.out:
         save_fiducial(f, args.out)
         print(f"written         : {args.out}")
-    _emit(
-        args,
-        {
-            "dim": args.dim,
-            "vectors": [[[float(c.real), float(c.imag)] for c in f.ket.vec]],
-        },
-    )
+    _emit(args, {"dim": args.dim, "vectors": [_pairs(f.ket.vec)]})
     return OK
 
 
@@ -240,18 +235,7 @@ def cmd_detect(args) -> int:
     print(f"threshold       : {res.threshold:.12g}")
     print(f"verdict         : {res.verdict}")
     print(f"ppt oracle      : {res.ppt}")
-    doc = {
-        "cuts": [
-            {
-                "cut": res.cut,
-                "value": res.value,
-                "threshold": res.threshold,
-                "verdict": res.verdict,
-                "ppt": res.ppt,
-            }
-        ],
-        "caveats": caveats,
-    }
+    estimator = None
     if args.shots is not None:
         ver = detect_with_confidence(rho, a, shots=args.shots, seed=args.seed, level=args.confidence)
         print(f"shots           : {args.shots}")
@@ -261,8 +245,8 @@ def cmd_detect(args) -> int:
             f"at {args.confidence:.0%}"
         )
         print(f"shot verdict    : {ver.verdict}")
-        doc["estimator"] = estimator_to_dict(ver)
-    _emit(args, doc)
+        estimator = estimator_to_dict(ver)
+    _emit(args, report_to_dict(DetectionReport((res,), tuple(caveats), estimator=estimator)))
     return OK
 
 

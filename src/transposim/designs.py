@@ -7,13 +7,13 @@ proportional to the identity, so it induces a measurement.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError, NotPrimeError, NotSICError, ParseError, SearchFailed, ValidationError
+from .fileio import _integer, _pairs, _read_json, _vector, write_json
 from .linalg import Ket, Operator, swap_operator
 
 TWO_DESIGN_TOL = 1e-10
@@ -45,6 +45,8 @@ class Fiducial:
 
 @dataclass(frozen=True)
 class Design:
+    """Unit vectors with the residuals `make_design` verified when it built them."""
+
     d: int
     vectors: tuple[Ket, ...]
     kind: str
@@ -80,10 +82,13 @@ def _pair_projector_sum(vectors: np.ndarray) -> np.ndarray:
     return (xx.T @ xx.conj()) / n
 
 
+def _identity_plus_swap(d: int) -> np.ndarray:
+    """(I + V) / (d(d+1)): the CJ matrix of the approximate transpose, 2 P_sym / (d(d+1))."""
+    return (np.eye(d * d) + swap_operator(d).mat) / (d * (d + 1))
+
+
 def two_design_residual(vectors: np.ndarray, d: int) -> float:
-    v = swap_operator(d).mat
-    target = (np.eye(d * d) + v) / (d * (d + 1))
-    return float(np.linalg.norm(_pair_projector_sum(vectors) - target))
+    return float(np.linalg.norm(_pair_projector_sum(vectors) - _identity_plus_swap(d)))
 
 
 def coherence_residual(vectors: np.ndarray, d: int) -> float:
@@ -172,8 +177,8 @@ def hw_orbit(f: Fiducial) -> np.ndarray:
     return out.reshape(d * d, d)
 
 
-def sic_from_fiducial(f: Fiducial) -> Design:
-    """Heisenberg-Weyl orbit of a fiducial, verified against the SIC overlap law."""
+def _sic_orbit(f: Fiducial) -> np.ndarray:
+    """The (d^2, d) orbit of a unit fiducial, checked against the SIC overlap law."""
     if abs(f.ket.norm() - 1.0) > 1e-12:
         raise ValidationError("norm", abs(f.ket.norm() - 1.0))
     d = f.d
@@ -190,7 +195,12 @@ def sic_from_fiducial(f: Fiducial) -> Design:
             worst_pair=(int(worst[0]), int(worst[1])),
             deviation=float(dev[worst]),
         )
-    return make_design(vecs, kind="SIC")
+    return vecs
+
+
+def sic_from_fiducial(f: Fiducial) -> Design:
+    """Heisenberg-Weyl orbit of a fiducial, verified against the SIC overlap law."""
+    return make_design(_sic_orbit(f), kind="SIC")
 
 
 # ---------------------------------------------------------------------------
@@ -382,35 +392,14 @@ def fiducial_search(
 # ---------------------------------------------------------------------------
 
 
-def _vector_to_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[float(c.real), float(c.imag)] for c in v]
-
-
-def _pairs_to_vector(pairs) -> np.ndarray:
-    try:
-        out = np.array([complex(float(p[0]), float(p[1])) for p in pairs])
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"vector entries must be [re, im] pairs: {exc}") from exc
-    if not np.all(np.isfinite(out.view(float))):
-        raise ParseError("non-finite vector entry")
-    return out
-
-
 def _load_vectors(path: str) -> tuple[int, list[np.ndarray]]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "dim" not in doc or "vectors" not in doc:
         raise ParseError(f"{path}: expected keys 'dim' and 'vectors'")
-    try:
-        d = int(doc["dim"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: 'dim' must be an integer, got {doc['dim']!r}") from exc
+    d = _integer(doc["dim"], f"{path}: 'dim'")
     if not isinstance(doc["vectors"], list):
         raise ParseError(f"{path}: 'vectors' must be a list of vectors")
-    vecs = [_pairs_to_vector(p) for p in doc["vectors"]]
+    vecs = [_vector(p) for p in doc["vectors"]]
     for i, v in enumerate(vecs):
         if v.size != d:
             raise ParseError(f"{path}: vector {i} has length {v.size}, expected {d}")
@@ -421,12 +410,7 @@ def _load_vectors(path: str) -> tuple[int, list[np.ndarray]]:
 
 
 def save_fiducial(f: Fiducial, path: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump({"dim": f.d, "vectors": [_vector_to_pairs(f.ket.vec)]}, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise ParseError(f"cannot write {path}: {exc}") from exc
+    write_json({"dim": f.d, "vectors": [_pairs(f.ket.vec)]}, path)
 
 
 def load_fiducial(path: str) -> Fiducial:
@@ -437,15 +421,8 @@ def load_fiducial(path: str) -> Fiducial:
 
 
 def save_design(g: Design, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(
-            {"dim": g.d, "vectors": [_vector_to_pairs(k.vec) for k in g.vectors]}, fh, indent=2
-        )
-        fh.write("\n")
+    write_json({"dim": g.d, "vectors": [_pairs(k.vec) for k in g.vectors]}, path)
 
 
 def load_design(path: str, kind: str = "custom") -> Design:
-    d, vecs = _load_vectors(path)
-    if any(v.size != d for v in vecs):
-        raise ParseError(f"{path}: inconsistent vector dimensions")
-    return make_design(vecs, kind=kind)
+    return make_design(_load_vectors(path)[1], kind=kind)

@@ -37,7 +37,7 @@ class NotTracePreserving(DomainError):
 
 
 class ConventionMismatch(RuntimeError):
-    """No tested index/phase convention reproduces the SIC projectors."""
+    """The derived index/phase convention does not reproduce the SIC projectors."""
 
     def __init__(self, message: str, residuals: dict[str, float]):
         super().__init__(message)

@@ -3,7 +3,8 @@
 Schema: {"dims": [d1, d2, ...], "matrix": [[[re, im], ...], ...]} with rows in
 row-major order.  Parsing rejects NaN/Inf and anything that fails the
 density-matrix checks; serialization uses full-precision floats so a
-write/parse round trip is exact.
+write/parse round trip is exact.  Fiducial, design and channel files share the
+strict [re, im] codec, the integer reader and `write_json` defined here.
 """
 
 from __future__ import annotations
@@ -17,38 +18,71 @@ from .errors import ParseError, ValidationError
 from .linalg import DensityMatrix, Operator
 
 
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; booleans, floats and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _entry(pair) -> complex:
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
     ):
-        raise ParseError(f"matrix entries must be [re, im] number pairs, got {pair!r}")
-    if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
-        raise ParseError(f"non-finite matrix entry {pair!r}")
-    return complex(pair[0], pair[1])
+        raise ParseError(f"entries must be [re, im] number pairs, got {pair!r}")
+    try:
+        value = complex(pair[0], pair[1])
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ParseError(f"entry out of range {pair!r}") from None
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ParseError(f"non-finite entry {pair!r}")
+    return value
+
+
+def _vector(row) -> np.ndarray:
+    """A JSON list of [re, im] pairs as a complex vector."""
+    if not isinstance(row, list):
+        raise ParseError(f"expected a list of [re, im] pairs, got {row!r}")
+    return np.array([_entry(c) for c in row], dtype=complex)
+
+
+def _matrix(rows, size: int, what: str) -> np.ndarray:
+    """A JSON size x size grid of [re, im] pairs as a complex matrix."""
+    if (
+        not isinstance(rows, list)
+        or len(rows) != size
+        or any(not isinstance(r, list) or len(r) != size for r in rows)
+    ):
+        raise ParseError(f"{what} must be {size}x{size}")
+    return np.array([_vector(row) for row in rows], dtype=complex).reshape(size, size)
+
+
+def _pairs(vec) -> list[list[float]]:
+    """The [re, im] pairs of a complex vector, at full precision."""
+    return [[float(c.real), float(c.imag)] for c in vec]
 
 
 def parse_state_file(path: str) -> DensityMatrix:
     """Load and validate a density matrix; names the failed check on rejection."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
         raise ParseError(f"{path}: expected keys 'dims' and 'matrix'")
-    try:
-        dims = tuple(int(d) for d in doc["dims"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad dims: {exc}") from exc
+    if not isinstance(doc["dims"], list):
+        raise ParseError(f"{path}: bad dims: expected a list, got {doc['dims']!r}")
+    dims = tuple(_integer(d, f"{path}: each of dims") for d in doc["dims"])
     if not dims or any(d < 1 for d in dims):
         raise ParseError(f"{path}: dims must be positive integers, got {dims}")
-    total = int(np.prod(dims))
-    rows = doc["matrix"]
-    if not isinstance(rows, list) or len(rows) != total or any(len(r) != total for r in rows):
-        raise ParseError(f"{path}: matrix must be {total}x{total} for dims {dims}")
-    mat = np.array([[_entry(c) for c in row] for row in rows])
+    mat = _matrix(doc["matrix"], math.prod(dims), f"{path}: the matrix for dims {dims}")
     herm = float(np.abs(mat - mat.conj().T).max())
     if herm > 1e-10:
         raise ValidationError("hermitian", herm)
@@ -65,7 +99,7 @@ def parse_state_file(path: str) -> DensityMatrix:
 def state_to_dict(rho: DensityMatrix) -> dict:
     return {
         "dims": list(rho.dims),
-        "matrix": [[[float(c.real), float(c.imag)] for c in row] for row in rho.mat],
+        "matrix": [_pairs(row) for row in rho.mat],
     }
 
 
@@ -74,7 +108,11 @@ def save_state(rho: DensityMatrix, path: str) -> None:
 
 
 def write_json(doc: dict, path: str) -> None:
-    """Byte-stable JSON output: sorted keys, fixed indentation, trailing newline."""
+    """Byte-stable JSON output: sorted keys, fixed indentation, trailing newline.
+
+    Every file the package writes goes through here, so a path that cannot be
+    written (a missing directory, say) is a ParseError.
+    """
     try:
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

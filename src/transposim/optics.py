@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, MeasurePrepare, channel_from_measure_prepare
-from .designs import Fiducial, hw_orbit
+from .channels import Channel, MeasurePrepare, _measure_and_prepare, channel_from_measure_prepare
+from .designs import Fiducial
 from .errors import CalibrationError, DomainError
 from .linalg import DensityMatrix, Ket, Operator, phase_free_distance
 from .twostep import build_two_step
@@ -114,7 +114,7 @@ def build_fig2_pipeline(f: Fiducial) -> Fig2Pipeline:
     if f.d != 2:
         raise DomainError("the optical pipeline is defined for polarization qubits (d = 2)")
     ts = build_two_step(f)
-    orbit = hw_orbit(f)
+    orbit = ts.orbit
     amps = ts.first_kraus[0].mat.diagonal()
     elements = [ppbs(t_v=amps[1], r_v=amps[0])]
     elements += [hwp(np.pi / 8), hwp(np.pi / 8)]
@@ -148,19 +148,18 @@ def build_fig2_pipeline(f: Fiducial) -> Fig2Pipeline:
 
 def path_probabilities(pipe: Fig2Pipeline, rho: DensityMatrix) -> np.ndarray:
     """Probability of the photon exiting through each of the four paths."""
-    if rho.dim != 2:
-        raise DomainError(f"polarization state must be a qubit, got dimension {rho.dim}")
-    effects = np.stack([m.mat for m in pipe.effects])
-    return np.einsum("kij,ji->k", effects, rho.mat).real
+    return run_pipeline(pipe, rho)[0]
 
 
 def run_pipeline(pipe: Fig2Pipeline, rho: DensityMatrix) -> tuple[np.ndarray, DensityMatrix]:
     """Path probabilities and the coupler output state (the incoherent path mixture)."""
-    probs = path_probabilities(pipe, rho)
-    prepared = np.stack([k.vec for k in pipe.prepared_states])
-    projectors = prepared[:, :, None] * prepared[:, None, :].conj()
-    # a sum over the leading axis adds the paths in order, as the loop form does
-    out = (probs[:, None, None] * projectors).sum(axis=0)
+    if rho.dim != 2:
+        raise DomainError(f"polarization state must be a qubit, got dimension {rho.dim}")
+    probs, out = _measure_and_prepare(
+        np.stack([m.mat for m in pipe.effects]),
+        np.stack([k.vec for k in pipe.prepared_states]),
+        rho.mat,
+    )
     return probs, DensityMatrix(out)
 
 

@@ -1,11 +1,13 @@
 """Two-step realization of the SIC measurement with outcome-controlled corrections.
 
 The d^2-outcome SIC measurement factorizes into a first d-outcome measurement
-with diagonal Kraus operators A_k (fiducial amplitudes on a cyclically shifted
-diagonal) followed by a projective measurement B_l in the Fourier basis, so
-that A_k^dag B_l A_k = |s_{k,l}><s_{k,l}| / d.  Conventions for amplitude
-conjugation and index signs drift between formulations; the builder fixes them
-by checking that defining equality directly and records which variant holds.
+with diagonal Kraus operators A_k followed by a projective measurement B_l in
+the Fourier basis, so that A_k^dag B_l A_k = |s_{k,l}><s_{k,l}| / d.  The
+convention is derived, not searched: with A_k = diag(conj(alpha_{m-k})), the
+conjugated fiducial amplitudes on the diagonal shifted by k, the identity holds
+by algebra for every fiducial.  Conventions for amplitude conjugation and index
+signs drift between formulations, so the builder still checks the identity
+against the orbit projectors and records the convention it used.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Fiducial, hw_orbit, sic_from_fiducial, weyl_pair
+from .channels import MeasurePrepare, _measure_and_prepare, channel_from_measure_prepare
+from .designs import Fiducial, _sic_orbit, hw_orbit, weyl_pair
 from .errors import ConventionMismatch, DomainError
 from .linalg import DensityMatrix, Ket, Operator, phase_free_distance
 
@@ -29,6 +32,7 @@ class TwoStepMeasurement:
     second_effects: tuple[Operator, ...]
     assembled: tuple[Operator, ...]  # index k*d + l
     convention: str
+    orbit: np.ndarray  # (d^2, d) read-only orbit vectors, index k*d + l
 
 
 @dataclass(frozen=True)
@@ -48,63 +52,52 @@ def _fourier_effects(d: int) -> np.ndarray:
     return fv[:, :, None] * fv[:, None, :].conj()
 
 
-def _kraus_diagonals(amps: np.ndarray, k_sign: int) -> np.ndarray:
-    """Row k is the diagonal of A_k: amplitude alpha_m sits at m + k_sign*k mod d."""
+def _kraus_diagonals(amps: np.ndarray) -> np.ndarray:
+    """Row k is the diagonal of A_k: amplitude amps_m sits at m + k mod d."""
     d = amps.size
     j = np.arange(d)
-    return amps[(j[None, :] - k_sign * j[:, None]) % d]
+    return amps[(j[None, :] - j[:, None]) % d]
 
 
-def _assemble(
-    amps: np.ndarray, l_sign: int, k_sign: int, effects: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Kraus diagonals (d, d), assembled A_k^dag B_{l_sign*l} A_k stacked (d^2, d, d))."""
+def _assemble(amps: np.ndarray, effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Kraus diagonals (d, d), assembled A_k^dag B_l A_k stacked (d^2, d, d))."""
     d = amps.size
-    diag = _kraus_diagonals(amps, k_sign)
-    b = effects[(l_sign * np.arange(d)) % d]
+    diag = _kraus_diagonals(amps)
     # for diagonal A_k: (A_k^dag B A_k)_ij = conj(a_ki) B_ij a_kj
-    assembled = diag.conj()[:, None, :, None] * b[None] * diag[:, None, None, :]
+    assembled = diag.conj()[:, None, :, None] * effects[None] * diag[:, None, None, :]
     return diag, assembled.reshape(d * d, d, d)
 
 
 def build_two_step(f: Fiducial) -> TwoStepMeasurement:
     """Factor the SIC measurement of a fiducial's orbit into two d-outcome steps.
 
-    Tries the plain convention first, then the finite set of amplitude
-    conjugation / index-sign variants, accepting the first one for which every
-    assembled effect matches the corresponding orbit projector within 1e-10.
+    A_k carries the conjugated fiducial amplitudes on its diagonal shifted by k
+    and B_l projects on the l-th Fourier vector, with both index signs +1.
+    For real amplitudes the conjugation is a no-op and the convention is
+    recorded as plain.  Every assembled effect is checked against its orbit
+    projector within 1e-10; a miss raises ConventionMismatch.
     """
-    sic_from_fiducial(f)  # raises NotSICError if the orbit is not a SIC family
+    orbit = _sic_orbit(f)  # raises NotSICError if the orbit is not a SIC family
+    orbit.setflags(write=False)
     d = f.d
-    orbit = hw_orbit(f)
-    targets = orbit[:, :, None] * orbit[:, None, :].conj() / d
+    real = not f.alphas.imag.any()
     effects = _fourier_effects(d)
-    residuals: dict[str, float] = {}
-    variants = [
-        (amp, l_sign, k_sign)
-        for amp in ("plain", "conjugated")
-        for l_sign in (1, -1)
-        for k_sign in (1, -1)
-    ]
-    for amp, l_sign, k_sign in variants:
-        amps = f.alphas.conj() if amp == "conjugated" else f.alphas
-        diag, assembled = _assemble(amps, l_sign, k_sign, effects)
-        worst = float(np.abs(assembled - targets).max())
-        name = f"amplitudes={amp}, l_sign={l_sign:+d}, k_sign={k_sign:+d}"
-        residuals[name] = worst
-        if worst < ASSEMBLY_TOL:
-            return TwoStepMeasurement(
-                d,
-                f,
-                tuple(Operator(np.diag(a)) for a in diag),
-                tuple(Operator(b) for b in effects),
-                tuple(Operator(m) for m in assembled),
-                convention=name,
-            )
-    raise ConventionMismatch(
-        "no amplitude/index convention reproduces the SIC projectors "
-        f"(best residual {min(residuals.values()):.3e})",
-        residuals=residuals,
+    diag, assembled = _assemble(f.alphas if real else f.alphas.conj(), effects)
+    worst = float(np.abs(assembled - orbit[:, :, None] * orbit[:, None, :].conj() / d).max())
+    name = f"amplitudes={'plain' if real else 'conjugated'}, l_sign=+1, k_sign=+1"
+    if worst >= ASSEMBLY_TOL:
+        raise ConventionMismatch(
+            f"the derived convention does not reproduce the SIC projectors (residual {worst:.3e})",
+            residuals={name: worst},
+        )
+    return TwoStepMeasurement(
+        d,
+        f,
+        tuple(Operator(np.diag(a)) for a in diag),
+        tuple(Operator(b) for b in effects),
+        tuple(Operator(m) for m in assembled),
+        convention=name,
+        orbit=orbit,
     )
 
 
@@ -138,23 +131,17 @@ def simulate_circuit(f: Fiducial, rho: DensityMatrix) -> tuple[np.ndarray, Densi
     approximate transpose without post-selection.
     """
     ts = build_two_step(f)
-    d = f.d
-    if rho.dim != d:
-        raise DomainError(f"state dimension {rho.dim} does not match fiducial dimension {d}")
-    orbit = hw_orbit(f)
+    if rho.dim != f.d:
+        raise DomainError(f"state dimension {rho.dim} does not match fiducial dimension {f.d}")
     effects = np.stack([m.mat for m in ts.assembled])
-    probs = np.einsum("kij,ji->k", effects, rho.mat).real
-    out = np.einsum("k,ki,kj->ij", probs, orbit.conj(), orbit)  # sum_k p_k |s*_k><s*_k|
+    probs, out = _measure_and_prepare(effects, ts.orbit.conj(), rho.mat)
     return probs, DensityMatrix(out)
 
 
 def two_step_channel(f: Fiducial):
     """The channel induced by the two-step circuit (measure M_{k,l}, prepare s*)."""
-    from .channels import MeasurePrepare, channel_from_measure_prepare
-
     ts = build_two_step(f)
-    orbit = hw_orbit(f)
-    mp = MeasurePrepare(ts.assembled, tuple(Ket(s.conj()) for s in orbit))
+    mp = MeasurePrepare(ts.assembled, tuple(Ket(s) for s in ts.orbit.conj()))
     return channel_from_measure_prepare(mp)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import apply_to_factor, approx_transpose
-from .designs import Design, design_matrix, verify_coherent, verify_two_design
+from .designs import Design, _identity_plus_swap, design_matrix
 from .errors import DomainError
 from .linalg import (
     DensityMatrix,
@@ -198,8 +198,7 @@ def separable_decomposition_of_transpose_aew(g: Design) -> SeparableDecompositio
     Weights 1/N with factors |x_k><x_k| on both sides; the reconstruction must
     match (identity + V) / (d(d+1)).
     """
-    res2 = verify_two_design(g)
-    resc = verify_coherent(g)
+    res2, resc = g.two_design_residual, g.coherence_residual
     if res2 >= 1e-10 or resc >= 1e-10:
         raise DomainError(
             f"design fails the required checks (two-design {res2:.3e}, coherence {resc:.3e})"
@@ -208,8 +207,7 @@ def separable_decomposition_of_transpose_aew(g: Design) -> SeparableDecompositio
     arr = design_matrix(g)
     factors = tuple(DensityMatrix(np.outer(v, v.conj())) for v in arr)
     dec = SeparableDecomposition(np.full(n, 1.0 / n), factors, factors)
-    target = (np.eye(d * d) + swap_operator(d).mat) / (d * (d + 1))
-    resid = float(np.linalg.norm(dec.reconstruct().mat - target))
+    resid = float(np.linalg.norm(dec.reconstruct().mat - _identity_plus_swap(d)))
     if resid >= 1e-10:
         raise DomainError(f"decomposition fails to reconstruct the target ({resid:.3e})")
     return dec

@@ -7,10 +7,15 @@ from transposim import (
     DensityMatrix,
     ParseError,
     ValidationError,
+    approx_transpose,
     builtin_fiducial,
     haar_random_density,
+    load_channel,
     load_fiducial,
+    mub_prime,
     parse_state_file,
+    save_channel,
+    save_design,
     save_fiducial,
     save_state,
 )
@@ -276,8 +281,12 @@ def test_cli_fiducial_dimension_must_match_state(tmp_path, capsys):
     [
         {"dim": "abc", "vectors": [[[1.0, 0.0], [0.0, 0.0]]]},
         {"dim": 2, "vectors": 5},
+        # coercible values are refused too, not read as d = 2, d = 1, or numbers
+        {"dim": 2.7, "vectors": [[[0.6, 0.0], [0.8, 0.0]]]},
+        {"dim": True, "vectors": [[[1.0, 0.0]]]},
+        {"dim": 2, "vectors": [[["1.0", "0"], [0.0, 0.0]]]},
     ],
-    ids=["dim-abc", "vectors-5"],
+    ids=["dim-abc", "vectors-5", "dim-float", "dim-bool", "string-entries"],
 )
 def test_cli_malformed_fiducial_file_is_a_usage_error(tmp_path, capsys, doc):
     path = write_json(tmp_path / "fid.json", doc)
@@ -296,6 +305,10 @@ def test_cli_json_into_missing_directory_is_a_usage_error(tmp_path, capsys):
         save_state(DensityMatrix(np.eye(2) / 2), str(report))
     with pytest.raises(ParseError):
         save_fiducial(builtin_fiducial(2), str(report))
+    with pytest.raises(ParseError):
+        save_design(mub_prime(2), str(report))
+    with pytest.raises(ParseError):
+        save_channel(approx_transpose(2), str(report))
 
 
 @pytest.mark.parametrize("shots", ["0", "-3"])
@@ -307,3 +320,24 @@ def test_cli_detect_rejects_shots_below_one_before_printing(tmp_path, capsys, sh
     out, err = capsys.readouterr()
     assert out == ""
     assert "--shots" in err
+
+
+@pytest.mark.parametrize(
+    "dims, first",
+    [([2.9], [0.5, 0.0]), ([True, 2], [0.5, 0.0]), ([2], [10**400, 0])],
+    ids=["dims-float", "dims-bool", "entry-beyond-float-range"],
+)
+def test_state_file_refuses_values_outside_the_codec(tmp_path, dims, first):
+    doc = {"dims": dims, "matrix": [[first, [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+    with pytest.raises(ParseError):
+        parse_state_file(write_json(tmp_path / "rho.json", doc))
+
+
+@pytest.mark.parametrize("d_in", ["abc", None], ids=["string", "null"])
+def test_channel_dimensions_must_be_json_integers(tmp_path, d_in):
+    path = tmp_path / "ch.json"
+    save_channel(approx_transpose(2), str(path))
+    doc = json.loads(path.read_text())
+    doc["d_in"] = d_in
+    with pytest.raises(ParseError):
+        load_channel(write_json(path, doc))

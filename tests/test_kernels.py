@@ -210,14 +210,19 @@ def ref_assemble(amps, l_sign, k_sign):
     "conjugate, l_sign, k_sign", list(itertools.product((False, True), (1, -1), (1, -1)))
 )
 def test_two_step_assembly_matches_loop_for_every_convention(d, conjugate, l_sign, k_sign):
+    # the kernel builds the derived convention, both signs +1; a sign variant
+    # only relabels the outcomes, as A_{k_sign*k} and B_{l_sign*l}
     amps = builtin_fiducial(d).alphas if d in (2, 3) else random_unit_vectors(1, d, 4)[0]
     amps = amps.conj() if conjugate else amps
     effects = _fourier_effects(d)
-    diag, assembled = _assemble(amps, l_sign, k_sign, effects)
+    diag, assembled = _assemble(amps, effects)
     ref_kraus, ref_effects, ref_assembled = ref_assemble(amps, l_sign, k_sign)
-    assert np.array_equal(np.array([np.diag(a) for a in diag]), ref_kraus)
+    k = (k_sign * np.arange(d)) % d
+    l = (l_sign * np.arange(d)) % d
+    assert np.array_equal(np.array([np.diag(a) for a in diag])[k], ref_kraus)
     assert np.array_equal(effects, ref_effects)
-    assert np.abs(assembled - ref_assembled).max() < TOL
+    relabelled = assembled.reshape(d, d, d, d)[k][:, l].reshape(d * d, d, d)
+    assert np.abs(relabelled - ref_assembled).max() < TOL
 
 
 def ref_measure_and_prepare(effects, preps, rho):

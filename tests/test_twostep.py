@@ -11,7 +11,9 @@ from transposim import (
     build_two_step,
     builtin_fiducial,
     cj_distance,
+    build_fig2_pipeline,
     correction_set,
+    fiducial_search,
     haar_random_density,
     hw_orbit,
     phase_free_distance,
@@ -19,6 +21,7 @@ from transposim import (
     two_step_channel,
     verify_corrections,
 )
+from transposim import designs, optics, twostep
 from transposim.designs import Fiducial
 
 
@@ -42,9 +45,9 @@ def test_second_step_is_fourier_basis_d2():
     assert np.abs(ts.second_effects[1].mat - np.outer(minus, minus)).max() < 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_assembled_effects_match_orbit_projectors(d):
-    f = builtin_fiducial(d)
+    f = builtin_fiducial(d) if d in (2, 3) else fiducial_search(d, seed=11)
     ts = build_two_step(f)
     orbit = hw_orbit(f)
     for idx in range(d * d):
@@ -146,3 +149,32 @@ def test_simulate_dimension_guard():
 @pytest.mark.parametrize("d", [2, 3])
 def test_circuit_channel_equals_approx_transpose(d):
     assert cj_distance(two_step_channel(builtin_fiducial(d)), approx_transpose(d)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f: simulate_circuit(f, DensityMatrix(np.eye(2) / 2)),
+        two_step_channel,
+        build_fig2_pipeline,
+    ],
+    ids=["simulate_circuit", "two_step_channel", "build_fig2_pipeline"],
+)
+def test_each_realization_computes_the_orbit_once(monkeypatch, run):
+    calls = []
+    original = designs.hw_orbit
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    for module in (designs, twostep, optics):
+        monkeypatch.setattr(module, "hw_orbit", counting, raising=False)
+    run(builtin_fiducial(2))
+    assert len(calls) == 1
+
+
+def test_searched_complex_fiducial_uses_the_conjugated_convention():
+    ts = build_two_step(fiducial_search(4, seed=11))
+    assert ts.convention == "amplitudes=conjugated, l_sign=+1, k_sign=+1"
+    assert not ts.orbit.flags.writeable
