@@ -23,17 +23,16 @@ import numpy as np
 from .designs import Design, _identity_plus_swap, design_matrix
 from .errors import DomainError, NotTracePreserving, ParseError
 from .fileio import _integer, _matrix, _pairs, _read_json, write_json
-from .linalg import DensityMatrix, Ket, Operator, swap_operator
+from .linalg import DensityMatrix, Ket, Operator, _psd_floor, swap_operator
 
 CJ_TOL = 1e-10
-PSD_TOL = 1e-9
 
 
 def _cptp_flags(cj: np.ndarray, d_in: int) -> tuple[bool, bool, float, float]:
     """(psd_ok, tp_ok, min_eigenvalue, marginal_residual) for a CJ matrix."""
     eigs = np.linalg.eigvalsh((cj + cj.conj().T) / 2)
     min_eig = float(eigs[0])
-    psd_ok = min_eig >= -PSD_TOL * max(1e-30, float(np.abs(eigs).max()))
+    psd_ok = min_eig >= _psd_floor(eigs)
     d_out = cj.shape[0] // d_in
     # the trace over the output factor must equal identity/d on the reference copy
     marg = np.einsum("abcb->ac", cj.reshape(d_in, d_out, d_in, d_out))

@@ -34,11 +34,9 @@ from .errors import (
     CalibrationError,
     ConventionMismatch,
     DomainError,
-    NotPrimeError,
     NotSICError,
     ParseError,
     SearchFailed,
-    ValidationError,
 )
 from .estimator import detect_with_confidence, estimator_to_dict
 from .fileio import _pairs, parse_state_file, save_state, state_to_dict, write_json
@@ -134,36 +132,33 @@ def cmd_search_fiducial(args) -> int:
 _VIAS = ("formula", "design", "two-step", "optics")
 
 
-def _build_via(via: str, d: int, fiducial_path: str | None):
+def _build_via(via: str, d: int, f):
     if via == "formula":
         return approx_transpose(d)
-    f = _fiducial_for(d, fiducial_path)
     if via == "design":
         return measure_prepare_from_design(sic_from_fiducial(f))[1]
     if via == "two-step":
         return two_step_channel(f)
-    if via == "optics":
-        if d != 2:
-            raise DomainError("the optics pipeline exists for d = 2 only")
-        return output_channel(build_fig2_pipeline(f))
-    raise DomainError(f"unknown realization {via!r}")
+    return output_channel(build_fig2_pipeline(f))  # optics: offered for d = 2 only
 
 
 def cmd_apply(args) -> int:
     rho = parse_state_file(args.state)
     d = rho.dim
-    vias = ["formula"]
-    try:
-        _fiducial_for(d, args.fiducial)
-        vias += ["design", "two-step"]
-    except DomainError:
-        pass
+    if args.fiducial:
+        f = _fiducial_for(d, args.fiducial)
+    else:
+        try:
+            f = builtin_fiducial(d)
+        except DomainError:  # no built-in fiducial for d: the formula alone remains
+            f = None
+    vias = ["formula"] if f is None else ["formula", "design", "two-step"]
     if d == 2:
         vias.append("optics")
     if args.via not in vias:
         print(f"error: --via {args.via} is not available in dimension {d}", file=sys.stderr)
         return USAGE_ERROR
-    channels = {v: _build_via(v, d, args.fiducial) for v in vias}
+    channels = {v: _build_via(v, d, f) for v in vias}
     distances = {}
     worst = 0.0
     for i, a in enumerate(vias):
@@ -353,7 +348,7 @@ def main(argv=None) -> int:
     except (NotSICError, SearchFailed, ConventionMismatch, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    except (ParseError, ValidationError, NotPrimeError, DomainError) as exc:
+    except (ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -52,8 +52,8 @@ class ParseError(ValueError):
     """A file does not conform to the expected JSON schema."""
 
 
-class ValidationError(ValueError):
-    """Parsed data violates a physical-consistency check."""
+class ValidationError(DomainError):
+    """Data violates a physical-consistency check, named by `check`."""
 
     def __init__(self, check: str, residual: float):
         super().__init__(f"validation failed: {check} (residual {residual:.3e})")

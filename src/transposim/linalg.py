@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -28,6 +28,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
         raise DomainError("non-finite entries (NaN/Inf) are not allowed")
     out.setflags(write=False)
     return out
+
+
+def _check_hermitian(m: np.ndarray, unit_trace: bool = False) -> None:
+    """Raise ValidationError("hermitian" | "trace", residual) past the tolerances."""
+    herm = float(np.abs(m - m.conj().T).max())
+    if herm > HERMITIAN_TOL:
+        raise ValidationError("hermitian", herm)
+    if unit_trace:
+        tr = abs(complex(np.trace(m)) - 1.0)
+        if tr > TRACE_TOL:
+            raise ValidationError("trace", tr)
+
+
+def _psd_floor(eigs: np.ndarray) -> float:
+    """Lowest eigenvalue still counted as nonnegative, relative to the spectrum's scale."""
+    return -PSD_TOL * max(1e-30, float(np.abs(eigs).max()))
 
 
 def _as_dims(dims, total: int) -> tuple[int, ...]:
@@ -89,7 +105,12 @@ class Operator:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated quantum state: Hermitian, unit trace, PSD within tolerance."""
+    """A validated quantum state: Hermitian, unit trace, PSD within tolerance.
+
+    This is the one state check.  A failure raises ValidationError naming the
+    first check that fails, in the order hermitian, trace, psd, with its
+    residual: max|M - M^dag|, |tr M - 1| or -lambda_min.
+    """
 
     op: Operator
 
@@ -97,16 +118,10 @@ class DensityMatrix:
         if not isinstance(op, Operator):
             op = Operator(op, dims)
         m = op.mat
-        herm = float(np.abs(m - m.conj().T).max())
-        if herm > HERMITIAN_TOL:
-            raise DomainError(f"not Hermitian (residual {herm:.3e})")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise DomainError(f"trace is {tr:.12g}, expected 1")
+        _check_hermitian(m, unit_trace=True)
         eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        floor = -PSD_TOL * max(1e-30, float(np.abs(eigs).max()))
-        if eigs[0] < floor:
-            raise DomainError(f"not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
+        if eigs[0] < _psd_floor(eigs):
+            raise ValidationError("psd", float(-eigs[0]))
         object.__setattr__(self, "op", op)
 
     @property
@@ -214,9 +229,7 @@ def permute_subsystems(m: Operator, perm) -> Operator:
 
 def eig_hermitian(m: Operator) -> tuple[np.ndarray, list[Ket]]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian operator."""
-    herm = float(np.abs(m.mat - m.mat.conj().T).max())
-    if herm > HERMITIAN_TOL:
-        raise DomainError(f"not Hermitian (residual {herm:.3e})")
+    _check_hermitian(m.mat)
     vals, vecs = np.linalg.eigh((m.mat + m.mat.conj().T) / 2)
     return vals, [Ket(vecs[:, i], m.dims) for i in range(m.dim)]
 

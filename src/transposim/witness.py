@@ -21,6 +21,7 @@ from .linalg import (
     DensityMatrix,
     Ket,
     Operator,
+    _check_hermitian,
     partial_transpose,
     permute_subsystems,
     real_trace_product,
@@ -38,12 +39,7 @@ class Witness:
     op: Operator
 
     def __init__(self, op: Operator):
-        herm = float(np.abs(op.mat - op.mat.conj().T).max())
-        if herm > 1e-10:
-            raise DomainError(f"witness must be Hermitian (residual {herm:.3e})")
-        tr = complex(np.trace(op.mat))
-        if abs(tr - 1.0) > 1e-10:
-            raise DomainError(f"witness trace is {tr:.12g}, expected 1")
+        _check_hermitian(op.mat, unit_trace=True)
         object.__setattr__(self, "op", op)
 
     @property
@@ -167,8 +163,8 @@ def detect(
     else:
         verdict = "not-detected"
     subs = a.cut if ppt_subsystems is None else tuple(ppt_subsystems)
-    shaped = Operator(rho.mat, a.state.dims)
-    ppt_verdict, min_eig = ppt_check(DensityMatrix(shaped), subs)
+    # rho is already a validated state; only its factor dimensions follow the witness
+    ppt_verdict, min_eig = ppt_check(Operator(rho.mat, a.state.dims), subs)
     return CutResult(
         cut=cut_label,
         value=value,
@@ -180,12 +176,12 @@ def detect(
     )
 
 
-def ppt_check(rho: DensityMatrix, cut) -> tuple[str, float]:
+def ppt_check(rho: DensityMatrix | Operator, cut) -> tuple[str, float]:
     """Partial-transpose test across the given subsystems: (NPT|PPT, min eigenvalue)."""
     subs = [int(s) for s in (cut if np.iterable(cut) else [cut])]
     if not subs:
         raise DomainError("PPT check needs a nonempty subsystem set")
-    m = rho.op
+    m = rho
     for s in subs:
         m = partial_transpose(m, s)
     min_eig = float(np.linalg.eigvalsh((m.mat + m.mat.conj().T) / 2)[0])

@@ -5,6 +5,7 @@ import pytest
 
 from transposim import (
     DensityMatrix,
+    DomainError,
     ParseError,
     ValidationError,
     approx_transpose,
@@ -19,6 +20,7 @@ from transposim import (
     save_fiducial,
     save_state,
 )
+from transposim import cli
 from transposim.cli import main
 
 
@@ -66,6 +68,27 @@ def test_parse_psd_guard(tmp_path):
     with pytest.raises(ValidationError) as err:
         parse_state_file(path)
     assert err.value.check == "psd"
+
+
+@pytest.mark.parametrize(
+    "rows, check, residual",
+    [
+        ([[0.5, 0.3], [0.1, 0.5]], "hermitian", 0.2),
+        ([[0.6, 0.0], [0.0, 0.5]], "trace", 0.1),
+        ([[1.5, 0.0], [0.0, -0.5]], "psd", 0.5),
+    ],
+    ids=["non-hermitian", "trace-1.1", "negative-eigenvalue"],
+)
+def test_density_matrix_names_the_failed_check(tmp_path, rows, check, residual):
+    doc = {"dims": [2], "matrix": [[[x, 0.0] for x in row] for row in rows]}
+    with pytest.raises(ValidationError) as parsed:
+        parse_state_file(write_json(tmp_path / "rho.json", doc))
+    with pytest.raises(ValidationError) as err:
+        DensityMatrix(np.array(rows))
+    assert isinstance(err.value, DomainError)
+    assert err.value.check == parsed.value.check == check
+    assert err.value.residual == parsed.value.residual
+    assert abs(err.value.residual - residual) < 1e-12
 
 
 def test_parse_rejects_malformed(tmp_path):
@@ -274,6 +297,27 @@ def test_cli_fiducial_dimension_must_match_state(tmp_path, capsys):
     code = main(argv + ["--fiducial", qubit_fiducial_file(tmp_path)])
     err = assert_one_line_usage_error(code, capsys)
     assert "dimension 2" in err and "dimension 3" in err
+
+
+@pytest.mark.parametrize("via", ["formula", "design"])
+def test_cli_apply_refuses_a_non_normalized_fiducial(tmp_path, capsys, via):
+    state = tmp_path / "q3.json"
+    save_state(DensityMatrix(np.eye(3) / 3), str(state))
+    fid = write_json(tmp_path / "fid3.json", {"dim": 3, "vectors": [[[1, 0], [1, 0], [0, 0]]]})
+    argv = ["apply-approx-transpose", "--state", str(state), "--via", via, "--fiducial", fid]
+    err = assert_one_line_usage_error(main(argv), capsys)
+    assert "norm" in err
+
+
+def test_cli_apply_loads_the_fiducial_once(tmp_path, monkeypatch):
+    state = tmp_path / "q2.json"
+    save_state(DensityMatrix(np.eye(2) / 2), str(state))
+    paths = []
+    monkeypatch.setattr(cli, "load_fiducial", lambda p: paths.append(p) or load_fiducial(p))
+    fid = qubit_fiducial_file(tmp_path)
+    argv = ["apply-approx-transpose", "--state", str(state), "--via", "optics", "--fiducial", fid]
+    assert main(argv) == 0
+    assert paths == [fid]
 
 
 @pytest.mark.parametrize(

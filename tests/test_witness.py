@@ -128,6 +128,22 @@ def test_detect_boundary_werner():
     assert abs(min_eig) < 1e-12
 
 
+def test_detect_trusts_its_validated_input(monkeypatch):
+    # the PPT cross-check is the only eigensolve; rho is not validated again
+    g = sic_from_fiducial(builtin_fiducial(2))
+    cases = [
+        (singlet(), aew(transpose_witness(2))),
+        (tripartite_example_state(), multipartite_aew(3, 2, 0, g)),
+    ]
+    real = np.linalg.eigvalsh
+    for rho, a in cases:
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
+        detect(rho, a)
+        monkeypatch.undo()
+        assert calls == [(rho.dim, rho.dim)]
+
+
 def test_detect_dimension_guard():
     a = aew(transpose_witness(2))
     with pytest.raises(DomainError):
