@@ -311,7 +311,9 @@ def criterion_12_fiducial_search(max_dim: int = 5) -> CriterionResult:
         12,
         "fiducial search certifies a SIC orbit in dimension 4",
         ok,
-        f"overlap deviation {dev:.2e}, frame-potential error {fp_err:.2e}, {elapsed:.1f}s",
+        # the wall time stays out of the details, so the report is the same on every run
+        f"overlap deviation {dev:.2e}, frame-potential error {fp_err:.2e}, "
+        f"{'within' if elapsed < 60.0 else 'over'} 60 s",
     )
 
 

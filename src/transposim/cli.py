@@ -8,6 +8,7 @@ Exit codes: 0 success/verified, 1 verification failed or computation error,
 from __future__ import annotations
 
 import argparse
+import math
 import string
 import sys
 
@@ -54,11 +55,14 @@ from .witness import (
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 OK = 0
+# verify-all's criteria 01 and 07 build d^2 x d^2 matrices for every d up to
+# --max-dim; 8 keeps them within the total dimension of 64
+MAX_VERIFY_DIM = 8
 
 
 def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
-    p.add_argument("--tolerance", type=float, default=1e-10, help="pass/fail tolerance")
+    p.add_argument("--tolerance", type=_tolerance, default=1e-10, help="pass/fail tolerance")
     p.add_argument("--json", metavar="PATH", default=None, help="write a JSON report here")
 
 
@@ -277,6 +281,8 @@ def cmd_verify_all(args) -> int:
     return OK if passed else CHECK_FAILED
 
 
+# argparse types: a bad value is refused before any command starts its work
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -287,8 +293,36 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _float_arg(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
+def _confidence(text: str) -> float:
+    value = _float_arg(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _float_arg(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one line on stderr and exit 2, like a file error."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="transposim",
         description="Approximate transpose channels from quantum two-designs, "
         "with entanglement detection.",
@@ -304,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-fiducial", help="search for a SIC fiducial numerically")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--max-iters", type=int, default=20000)
+    p.add_argument("--max-iters", type=_positive_int, default=20000)
     p.add_argument("--out", metavar="FILE", default=None, help="write the fiducial file here")
     _common(p)
     p.set_defaults(fn=cmd_search_fiducial)
@@ -324,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", metavar="FILE", required=True)
     p.add_argument("--cut", metavar="SPEC", required=True, help="e.g. A|BC")
     p.add_argument("--shots", type=_positive_int, default=None)
-    p.add_argument("--confidence", type=float, default=0.99)
+    p.add_argument("--confidence", type=_confidence, default=0.99)
     p.add_argument("--fiducial", metavar="FILE", default=None)
     _common(p)
     p.set_defaults(fn=cmd_detect)
@@ -334,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tripartite_demo)
 
     p = sub.add_parser("verify-all", help="run the full verification suite")
-    p.add_argument("--max-dim", type=int, default=5)
+    p.add_argument("--max-dim", type=int, choices=range(2, MAX_VERIFY_DIM + 1), default=5)
     _common(p)
     p.set_defaults(fn=cmd_verify_all)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, NotPrimeError, NotSICError, ParseError, SearchFailed, ValidationError
 from .fileio import _integer, _pairs, _read_json, _vector, write_json
@@ -265,6 +264,20 @@ OVERLAP_DEV_TOL = 1e-6
 # accepted candidates are polished well past the certificate so the orbit also
 # clears the stricter SIC overlap check (1e-9) with margin
 OVERLAP_DEV_ACCEPT = 1e-10
+# the search holds d^4 complex displacement entries (about 268 MB at d = 64);
+# larger dimensions are refused before anything is allocated
+MAX_SEARCH_DIM = 64
+
+
+def minimize(fun, x0, **kwargs):
+    """`scipy.optimize.minimize`, imported on first call.
+
+    Only the fiducial search needs scipy, so importing `transposim` does not
+    load it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _displacements(d: int) -> np.ndarray:
@@ -338,6 +351,8 @@ def fiducial_search(
     """
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
+    if d > MAX_SEARCH_DIM:
+        raise DomainError(f"fiducial search is limited to dimension <= {MAX_SEARCH_DIM}, got {d}")
     if start is not None:
         excess, dev = orbit_certificate(start)
         if abs(excess) < FP_EXCESS_TOL and dev < OVERLAP_DEV_TOL:

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from transposim import (
     save_fiducial,
     save_state,
 )
-from transposim import cli
+from transposim import acceptance, cli, designs
 from transposim.cli import main
 
 
@@ -385,3 +386,57 @@ def test_channel_dimensions_must_be_json_integers(tmp_path, d_in):
     doc["d_in"] = d_in
     with pytest.raises(ParseError):
         load_channel(write_json(path, doc))
+
+
+def assert_refused_before_printing(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and option in err
+
+
+@pytest.mark.parametrize("max_dim", ["1", "-1", "9"])
+def test_cli_verify_all_refuses_max_dim_outside_2_to_8(capsys, max_dim):
+    # 1 and -1 left criteria 01, 02, 03 and 07 with nothing to check
+    assert_refused_before_printing(["verify-all", "--max-dim", max_dim], "--max-dim", capsys)
+
+
+@pytest.mark.parametrize("confidence", ["1.5", "0", "1", "nan"])
+def test_cli_detect_refuses_confidence_outside_0_1_before_printing(tmp_path, capsys, confidence):
+    argv = ["detect", "--state", singlet_file(tmp_path), "--cut", "A|B", "--shots", "100"]
+    assert_refused_before_printing(argv + ["--confidence", confidence], "--confidence", capsys)
+
+
+@pytest.mark.parametrize("max_iters", ["0", "-5"])
+def test_cli_search_fiducial_refuses_max_iters_below_one(capsys, max_iters):
+    argv = ["search-fiducial", "--dim", "2", "--max-iters", max_iters]
+    assert_refused_before_printing(argv, "--max-iters", capsys)
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1e-10", "0", "inf"])
+def test_cli_tolerance_must_be_finite_and_positive(capsys, tolerance):
+    argv = ["verify-design", "--dim", "2", "--kind", "sic", "--tolerance", tolerance]
+    assert_refused_before_printing(argv, "--tolerance", capsys)
+
+
+def test_cli_search_fiducial_refuses_a_dimension_beyond_64(capsys, monkeypatch):
+    def no_allocation(d):
+        raise AssertionError("the displacement stack was built")
+
+    monkeypatch.setattr(designs, "_displacements", no_allocation)
+    code = main(["search-fiducial", "--dim", str(10**6)])
+    err = assert_one_line_usage_error(code, capsys)
+    assert "64" in err
+
+
+def test_cli_verify_all_json_is_byte_stable(tmp_path, monkeypatch):
+    # the search's wall time differs between runs (the first one also imports
+    # scipy); criterion 12 reads the clock only to time the search
+    clock = iter([0.0, 0.1, 0.0, 0.5])
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(["verify-all", "--max-dim", "2", "--json", str(r1)]) == 0
+    assert main(["verify-all", "--max-dim", "2", "--json", str(r2)]) == 0
+    assert r1.read_bytes() == r2.read_bytes()
