@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .designs import Design, _identity_plus_swap, design_matrix
+from .designs import Design, _identity_plus_swap
 from .errors import DomainError, NotTracePreserving, ParseError
 from .fileio import _integer, _matrix, _pairs, _read_json, write_json
-from .linalg import DensityMatrix, Ket, Operator, _psd_floor, swap_operator
+from .linalg import DensityMatrix, Ket, Operator, _psd_floor, _stack, swap_operator
 
 CJ_TOL = 1e-10
 
@@ -53,12 +54,29 @@ class Channel:
         return apply_channel(self, m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MeasurePrepare:
-    """A measure-and-prepare pair: POM effects and the states prepared per outcome."""
+    """A measure-and-prepare pair: POM effects and the states prepared per outcome.
 
-    effects: tuple[Operator, ...]
-    preparations: tuple[Ket, ...]
+    Built from `Operator`/`Ket` sequences or from arrays, and held as the
+    read-only stacks `effect_stack` (N, d, d) and `preparation_stack` (N, d);
+    the `effects` and `preparations` tuples are derived on first read.
+    """
+
+    effect_stack: np.ndarray
+    preparation_stack: np.ndarray
+
+    def __init__(self, effects, preparations):
+        object.__setattr__(self, "effect_stack", _stack(effects, "mat"))
+        object.__setattr__(self, "preparation_stack", _stack(preparations, "vec"))
+
+    @cached_property
+    def effects(self) -> tuple[Operator, ...]:
+        return tuple(Operator(e) for e in self.effect_stack)
+
+    @cached_property
+    def preparations(self) -> tuple[Ket, ...]:
+        return tuple(Ket(p) for p in self.preparation_stack)
 
 
 def _channel(cj: np.ndarray, d: int, expect_cptp: bool = True) -> Channel:
@@ -178,24 +196,20 @@ def measure_prepare_from_design(g: Design) -> tuple[MeasurePrepare, Channel]:
         raise DomainError(f"design fails the two-design check (residual {res2:.3e})")
     if resc >= 1e-10:
         raise DomainError(f"design is not coherent (projector-sum residual {resc:.3e})")
-    d, n = g.d, g.n
-    arr = design_matrix(g)
+    arr = g.vector_stack
     projectors = arr[:, :, None] * arr[:, None, :].conj()
-    effects = tuple(Operator(p) for p in (d / n) * projectors)
-    preps = tuple(Ket(v) for v in arr.conj())
-    mp = MeasurePrepare(effects, preps)
+    mp = MeasurePrepare((g.d / g.n) * projectors, arr.conj())
     return mp, channel_from_measure_prepare(mp)
 
 
 def channel_from_measure_prepare(mp: MeasurePrepare) -> Channel:
     """CJ matrix of rho -> sum_k tr{E_k rho} |p_k><p_k|."""
-    d, n = mp.effects[0].dim, len(mp.effects)
-    if len(mp.preparations) != n:
-        raise DomainError(f"{n} effects but {len(mp.preparations)} prepared states")
-    effects = np.stack([e.mat for e in mp.effects])              # (N, d, d)
+    effects, preps = mp.effect_stack, mp.preparation_stack      # (N, d, d), (N, d)
+    n, d = len(effects), effects.shape[1]
+    if len(preps) != n:
+        raise DomainError(f"{n} effects but {len(preps)} prepared states")
     if float(np.abs(effects.sum(axis=0) - np.eye(d)).max()) > 1e-10:
         raise DomainError("effects do not sum to the identity")
-    preps = np.stack([p.vec for p in mp.preparations])           # (N, d)
     projectors = preps[:, :, None] * preps[:, None, :].conj()
     # (I (x) E)[|phi+><phi+|] = sum_k E_k^T / d (x) |p_k><p_k|; the product
     # below holds it as [(a, c), (b, e)] for the kron entry [(a, b), (c, e)]

@@ -8,16 +8,26 @@ proportional to the identity, so it induces a measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, NotPrimeError, NotSICError, ParseError, SearchFailed, ValidationError
 from .fileio import _integer, _pairs, _read_json, _vector, write_json
-from .linalg import Ket, Operator, swap_operator
+from .linalg import Ket, Operator, _frozen, _stack, swap_operator
 
 TWO_DESIGN_TOL = 1e-10
 COHERENCE_TOL = 1e-10
 SIC_OVERLAP_TOL = 1e-9
+# the two-design check, the SIC overlap check and the fiducial search each hold
+# about d^4 complex entries (about 268 MB at d = 64); larger dimensions are
+# refused before anything is allocated
+MAX_DIM = 64
+
+
+def _refuse_oversized(d: int, what: str) -> None:
+    if d > MAX_DIM:
+        raise DomainError(f"{what} is limited to dimension <= {MAX_DIM}, got {d}")
 
 
 @dataclass(frozen=True)
@@ -42,19 +52,35 @@ class Fiducial:
         return self.ket.vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Design:
-    """Unit vectors with the residuals `make_design` verified when it built them."""
+    """Unit vectors with the residuals `make_design` verified when it built them.
+
+    The vectors are held once, as the read-only (N, d) `vector_stack`; the
+    `vectors` tuple of `Ket`s is derived from it on first read.
+    """
 
     d: int
-    vectors: tuple[Ket, ...]
+    vector_stack: np.ndarray
     kind: str
     two_design_residual: float
     coherence_residual: float
 
+    def __init__(self, d: int, vectors, kind: str, two_design_residual: float,
+                 coherence_residual: float):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "vector_stack", _stack(vectors, "vec"))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "two_design_residual", two_design_residual)
+        object.__setattr__(self, "coherence_residual", coherence_residual)
+
+    @cached_property
+    def vectors(self) -> tuple[Ket, ...]:
+        return tuple(Ket(v) for v in self.vector_stack)
+
     @property
     def n(self) -> int:
-        return len(self.vectors)
+        return len(self.vector_stack)
 
 
 def weyl_pair(d: int) -> WeylPair:
@@ -70,8 +96,8 @@ def weyl_pair(d: int) -> WeylPair:
 
 
 def design_matrix(g: Design) -> np.ndarray:
-    """Stack the design vectors into an (N, d) array."""
-    return np.stack([k.vec for k in g.vectors])
+    """The design vectors as a read-only (N, d) array."""
+    return g.vector_stack
 
 
 def _pair_projector_sum(vectors: np.ndarray) -> np.ndarray:
@@ -96,30 +122,40 @@ def coherence_residual(vectors: np.ndarray, d: int) -> float:
 
 
 def make_design(vectors, kind: str = "custom") -> Design:
-    """Bundle unit vectors with their verified two-design/coherence residuals."""
-    kets = tuple(v if isinstance(v, Ket) else Ket(v) for v in vectors)
-    if not kets:
+    """Bundle unit vectors with their verified two-design/coherence residuals.
+
+    `vectors` is an (N, d) array, checked as one stack, or a sequence of
+    vectors or `Ket`s, which may differ in dimension and are refused if so.
+    """
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        arr = _frozen(vectors)
+        n = n_same = len(arr)
+        d = arr.shape[1]
+    else:
+        kets = tuple(v if isinstance(v, Ket) else Ket(v) for v in vectors)
+        n = len(kets)
+        d = kets[0].dim if kets else 0
+        # the first vector of another dimension ends the batch; a norm failure
+        # before it is reported first, as a vector-by-vector scan would
+        n_same = next((i for i, k in enumerate(kets) if k.dim != d), n)
+        arr = _stack(kets[:n_same], "vec")
+    if not n:
         raise DomainError("a design needs at least one vector")
-    d = kets[0].dim
-    # the first vector of another dimension ends the batch; a norm failure
-    # before it is reported first, as a vector-by-vector scan would
-    n_same = next((i for i, k in enumerate(kets) if k.dim != d), len(kets))
-    arr = np.stack([k.vec for k in kets[:n_same]])
+    _refuse_oversized(d, "a design")
     norm_dev = np.abs(np.linalg.norm(arr, axis=1) - 1.0)
     bad = np.flatnonzero(norm_dev > 1e-12)
     if bad.size:
         raise ValidationError("norm", float(norm_dev[bad[0]]))
-    if n_same < len(kets):
-        k = kets[n_same]
-        raise DomainError(f"vector {n_same} has dimension {k.dim}, expected {d}")
+    if n_same < n:
+        raise DomainError(f"vector {n_same} has dimension {kets[n_same].dim}, expected {d}")
     res2 = two_design_residual(arr, d)
     resc = coherence_residual(arr, d)
-    if res2 < TWO_DESIGN_TOL and len(kets) < d * (d + 1) // 2:
+    if res2 < TWO_DESIGN_TOL and n < d * (d + 1) // 2:
         raise DomainError(
-            f"{len(kets)} vectors cannot form a two-design in dimension {d} "
+            f"{n} vectors cannot form a two-design in dimension {d} "
             f"(minimum cardinality {d * (d + 1) // 2})"
         )
-    return Design(d, kets, kind, res2, resc)
+    return Design(d, arr, kind, res2, resc)
 
 
 def verify_two_design(g: Design) -> float:
@@ -181,6 +217,7 @@ def _sic_orbit(f: Fiducial) -> np.ndarray:
     if abs(f.ket.norm() - 1.0) > 1e-12:
         raise ValidationError("norm", abs(f.ket.norm() - 1.0))
     d = f.d
+    _refuse_oversized(d, "a SIC orbit")
     vecs = hw_orbit(f)
     gram2 = np.abs(vecs @ vecs.conj().T) ** 2
     target = 1.0 / (d + 1)
@@ -229,6 +266,7 @@ def mub_prime(d: int) -> Design:
     Gauss-sum vectors with components omega^(a m^2 + b m) / sqrt(d), preceded
     by the computational basis.
     """
+    _refuse_oversized(d, "the MUB construction")
     if not _is_prime(d):
         raise NotPrimeError(f"MUB construction implemented for prime dimensions only, got {d}")
     if d == 2:
@@ -264,9 +302,6 @@ OVERLAP_DEV_TOL = 1e-6
 # accepted candidates are polished well past the certificate so the orbit also
 # clears the stricter SIC overlap check (1e-9) with margin
 OVERLAP_DEV_ACCEPT = 1e-10
-# the search holds d^4 complex displacement entries (about 268 MB at d = 64);
-# larger dimensions are refused before anything is allocated
-MAX_SEARCH_DIM = 64
 
 
 def minimize(fun, x0, **kwargs):
@@ -351,8 +386,7 @@ def fiducial_search(
     """
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    if d > MAX_SEARCH_DIM:
-        raise DomainError(f"fiducial search is limited to dimension <= {MAX_SEARCH_DIM}, got {d}")
+    _refuse_oversized(d, "fiducial search")
     if start is not None:
         excess, dev = orbit_certificate(start)
         if abs(excess) < FP_EXCESS_TOL and dev < OVERLAP_DEV_TOL:
@@ -436,7 +470,7 @@ def load_fiducial(path: str) -> Fiducial:
 
 
 def save_design(g: Design, path: str) -> None:
-    write_json({"dim": g.d, "vectors": [_pairs(k.vec) for k in g.vectors]}, path)
+    write_json({"dim": g.d, "vectors": [_pairs(v) for v in g.vector_stack]}, path)
 
 
 def load_design(path: str, kind: str = "custom") -> Design:

@@ -30,6 +30,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stack(items, attr: str) -> np.ndarray:
+    """One frozen array from an ndarray or from a sequence of Ket ("vec") / Operator ("mat").
+
+    A read-only complex array that owns its data is what `_frozen` returns, so
+    it was checked already and is kept rather than copied again.
+    """
+    if not isinstance(items, np.ndarray):
+        return _frozen([getattr(x, attr) for x in items])
+    if items.dtype == complex and items.flags.owndata and not items.flags.writeable:
+        return items
+    return _frozen(items)
+
+
 def _check_hermitian(m: np.ndarray, unit_trace: bool = False) -> None:
     """Raise ValidationError("hermitian" | "trace", residual) past the tolerances."""
     herm = float(np.abs(m - m.conj().T).max())

@@ -11,13 +11,14 @@ retrodicted path state, and a 4-to-1 coupler combines the paths incoherently
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .channels import Channel, MeasurePrepare, _measure_and_prepare, channel_from_measure_prepare
 from .designs import Fiducial
 from .errors import CalibrationError, DomainError
-from .linalg import DensityMatrix, Ket, Operator, phase_free_distance
+from .linalg import DensityMatrix, Ket, Operator, _stack, phase_free_distance
 from .twostep import build_two_step
 
 PHASE_TOL = 1e-10
@@ -85,21 +86,42 @@ def element_matrix(e: OpticalElement) -> Operator:
     raise DomainError(f"unknown optical element kind {e.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Fig2Pipeline:
     """PPBS -> per-arm HWP -> per-arm PBS -> per-path PS -> 4-to-1 coupler.
 
     Path p = 2k + l carries the effect |s_{k,l}><s_{k,l}| / 2; the transmission
-    arm is k = 0.
+    arm is k = 0.  The path effects and the prepared (conjugated) states are
+    held as the read-only stacks `effect_stack` (4, 2, 2) and `prepared_stack`
+    (4, 2); the `effects` and `prepared_states` tuples are derived on first
+    read, and the constructor takes either form.
     """
 
     fiducial: Fiducial
     elements: tuple[OpticalElement, ...]
     arm_kraus: tuple[Operator, Operator]
-    effects: tuple[Operator, ...]
+    effect_stack: np.ndarray
     analyzer_states: tuple[Ket, ...]  # conditional path states before the PS
-    prepared_states: tuple[Ket, ...]  # after the PS: the conjugated states
+    prepared_stack: np.ndarray
     solved_phases: tuple[float, ...]
+
+    def __init__(self, fiducial: Fiducial, elements, arm_kraus, effects, analyzer_states,
+                 prepared_states, solved_phases):
+        object.__setattr__(self, "fiducial", fiducial)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "arm_kraus", arm_kraus)
+        object.__setattr__(self, "effect_stack", _stack(effects, "mat"))
+        object.__setattr__(self, "analyzer_states", analyzer_states)
+        object.__setattr__(self, "prepared_stack", _stack(prepared_states, "vec"))
+        object.__setattr__(self, "solved_phases", solved_phases)
+
+    @cached_property
+    def effects(self) -> tuple[Operator, ...]:
+        return tuple(Operator(m) for m in self.effect_stack)
+
+    @cached_property
+    def prepared_states(self) -> tuple[Ket, ...]:
+        return tuple(Ket(v) for v in self.prepared_stack)
 
 
 def _solve_conjugation_phase(s: np.ndarray) -> float:
@@ -115,7 +137,7 @@ def build_fig2_pipeline(f: Fiducial) -> Fig2Pipeline:
         raise DomainError("the optical pipeline is defined for polarization qubits (d = 2)")
     ts = build_two_step(f)
     orbit = ts.orbit
-    amps = ts.first_kraus[0].mat.diagonal()
+    amps = ts.kraus_diagonals[0]
     elements = [ppbs(t_v=amps[1], r_v=amps[0])]
     elements += [hwp(np.pi / 8), hwp(np.pi / 8)]
     elements += [pbs((0, 1)), pbs((2, 3))]
@@ -132,16 +154,16 @@ def build_fig2_pipeline(f: Fiducial) -> Fig2Pipeline:
             )
         elements.append(phase_shifter(phi, path=p))
         analyzer.append(Ket(s))
-        prepared.append(Ket(corrected))
+        prepared.append(corrected)
         phases.append(phi)
     elements.append(coupler())
     return Fig2Pipeline(
         fiducial=f,
         elements=tuple(elements),
         arm_kraus=(ts.first_kraus[0], ts.first_kraus[1]),
-        effects=ts.assembled,
+        effects=ts.assembled_stack,
         analyzer_states=tuple(analyzer),
-        prepared_states=tuple(prepared),
+        prepared_states=np.array(prepared),
         solved_phases=tuple(phases),
     )
 
@@ -155,18 +177,13 @@ def run_pipeline(pipe: Fig2Pipeline, rho: DensityMatrix) -> tuple[np.ndarray, De
     """Path probabilities and the coupler output state (the incoherent path mixture)."""
     if rho.dim != 2:
         raise DomainError(f"polarization state must be a qubit, got dimension {rho.dim}")
-    probs, out = _measure_and_prepare(
-        np.stack([m.mat for m in pipe.effects]),
-        np.stack([k.vec for k in pipe.prepared_states]),
-        rho.mat,
-    )
+    probs, out = _measure_and_prepare(pipe.effect_stack, pipe.prepared_stack, rho.mat)
     return probs, DensityMatrix(out)
 
 
 def output_channel(pipe: Fig2Pipeline) -> Channel:
     """The polarization channel induced by the calibrated pipeline."""
-    mp = MeasurePrepare(pipe.effects, pipe.prepared_states)
-    return channel_from_measure_prepare(mp)
+    return channel_from_measure_prepare(MeasurePrepare(pipe.effect_stack, pipe.prepared_stack))
 
 
 def phase_report(pipe: Fig2Pipeline) -> dict:

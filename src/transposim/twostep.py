@@ -13,26 +13,63 @@ against the orbit projectors and records the convention it used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channels import MeasurePrepare, _measure_and_prepare, channel_from_measure_prepare
 from .designs import Fiducial, _sic_orbit, hw_orbit, weyl_pair
 from .errors import ConventionMismatch, DomainError
-from .linalg import DensityMatrix, Ket, Operator, phase_free_distance
+from .linalg import DensityMatrix, Operator, _stack, phase_free_distance
 
 ASSEMBLY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TwoStepMeasurement:
+    """The two measurement steps and their assembled effects, held as read-only stacks.
+
+    `kraus_diagonals` (d, d) holds the diagonal of A_k in row k,
+    `fourier_effects` (d, d, d) the projectors B_l and `assembled_stack`
+    (d^2, d, d) the effects A_k^dag B_l A_k at index k*d + l.  The
+    `first_kraus`, `second_effects` and `assembled` tuples of `Operator`s are
+    derived on first read; the constructor takes either form.
+    """
+
     d: int
     fiducial: Fiducial
-    first_kraus: tuple[Operator, ...]
-    second_effects: tuple[Operator, ...]
-    assembled: tuple[Operator, ...]  # index k*d + l
+    kraus_diagonals: np.ndarray
+    fourier_effects: np.ndarray
+    assembled_stack: np.ndarray
     convention: str
     orbit: np.ndarray  # (d^2, d) read-only orbit vectors, index k*d + l
+
+    def __init__(self, d: int, fiducial: Fiducial, first_kraus, second_effects, assembled,
+                 convention: str, orbit: np.ndarray):
+        if not isinstance(first_kraus, np.ndarray):
+            mats = _stack(first_kraus, "mat")
+            first_kraus = np.diagonal(mats, axis1=1, axis2=2)
+            if np.count_nonzero(mats) != np.count_nonzero(first_kraus):
+                raise DomainError("the first-step Kraus operators must be diagonal")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "fiducial", fiducial)
+        object.__setattr__(self, "kraus_diagonals", _stack(first_kraus, "mat"))
+        object.__setattr__(self, "fourier_effects", _stack(second_effects, "mat"))
+        object.__setattr__(self, "assembled_stack", _stack(assembled, "mat"))
+        object.__setattr__(self, "convention", convention)
+        object.__setattr__(self, "orbit", orbit)
+
+    @cached_property
+    def first_kraus(self) -> tuple[Operator, ...]:
+        return tuple(Operator(np.diag(a)) for a in self.kraus_diagonals)
+
+    @cached_property
+    def second_effects(self) -> tuple[Operator, ...]:
+        return tuple(Operator(b) for b in self.fourier_effects)
+
+    @cached_property
+    def assembled(self) -> tuple[Operator, ...]:
+        return tuple(Operator(m) for m in self.assembled_stack)
 
 
 @dataclass(frozen=True)
@@ -90,15 +127,7 @@ def build_two_step(f: Fiducial) -> TwoStepMeasurement:
             f"the derived convention does not reproduce the SIC projectors (residual {worst:.3e})",
             residuals={name: worst},
         )
-    return TwoStepMeasurement(
-        d,
-        f,
-        tuple(Operator(np.diag(a)) for a in diag),
-        tuple(Operator(b) for b in effects),
-        tuple(Operator(m) for m in assembled),
-        convention=name,
-        orbit=orbit,
-    )
+    return TwoStepMeasurement(d, f, diag, effects, assembled, convention=name, orbit=orbit)
 
 
 def correction_set(f: Fiducial) -> CorrectionSet:
@@ -133,16 +162,14 @@ def simulate_circuit(f: Fiducial, rho: DensityMatrix) -> tuple[np.ndarray, Densi
     ts = build_two_step(f)
     if rho.dim != f.d:
         raise DomainError(f"state dimension {rho.dim} does not match fiducial dimension {f.d}")
-    effects = np.stack([m.mat for m in ts.assembled])
-    probs, out = _measure_and_prepare(effects, ts.orbit.conj(), rho.mat)
+    probs, out = _measure_and_prepare(ts.assembled_stack, ts.orbit.conj(), rho.mat)
     return probs, DensityMatrix(out)
 
 
 def two_step_channel(f: Fiducial):
     """The channel induced by the two-step circuit (measure M_{k,l}, prepare s*)."""
     ts = build_two_step(f)
-    mp = MeasurePrepare(ts.assembled, tuple(Ket(s) for s in ts.orbit.conj()))
-    return channel_from_measure_prepare(mp)
+    return channel_from_measure_prepare(MeasurePrepare(ts.assembled_stack, ts.orbit.conj()))
 
 
 def verify_corrections(f: Fiducial) -> float:

@@ -303,7 +303,7 @@ _CUT_LABELS = {0: "A|BC", 1: "B|CA", 2: "C|AB"}
 def tripartite_example_state() -> DensityMatrix:
     """An 8x8 three-qubit state mixing a GHZ projector with four basis projectors.
 
-    One third GHZ plus one sixth each of |001>, |010>, |101>, |110|; symmetric
+    One third GHZ plus one sixth each of |001>, |010>, |101>, |110>; symmetric
     under swapping the last two parties, NPT only across the first one.
     """
     ghz = ghz_ket(3, 2)

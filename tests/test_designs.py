@@ -30,7 +30,9 @@ from transposim import (
     verify_two_design,
     weyl_pair,
 )
+from transposim import designs
 from transposim.designs import Fiducial, _displacements, _orbit_fp_and_grad, _overlap_dev_and_grad
+from transposim.fileio import _pairs, write_json
 
 
 def test_weyl_pair_qubit():
@@ -181,6 +183,30 @@ def test_design_cardinality_bound():
     assert g.n >= g.d * (g.d + 1) // 2
 
 
+def save_oversized_design(path):
+    save_design(designs.Design(65, np.eye(65), "custom", 0.0, 0.0), str(path))
+    return load_design(str(path))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tmp: make_design(np.eye(65)),
+        lambda tmp: save_oversized_design(tmp / "d65.json"),
+        lambda tmp: sic_from_fiducial(Fiducial(101, Ket(np.eye(101)[0]))),
+    ],
+    ids=["make_design", "load_design", "sic_from_fiducial"],
+)
+def test_designs_beyond_dimension_64_are_refused_before_allocation(build, tmp_path, monkeypatch):
+    def no_allocation(*args):
+        raise AssertionError("a d^4 check ran")
+
+    monkeypatch.setattr(designs, "_pair_projector_sum", no_allocation)
+    monkeypatch.setattr(designs, "hw_orbit", no_allocation)
+    with pytest.raises(DomainError, match="limited to dimension <= 64"):
+        build(tmp_path)
+
+
 @pytest.mark.parametrize("objective", [_orbit_fp_and_grad, _overlap_dev_and_grad])
 def test_search_gradients_match_finite_differences(objective):
     d = 3
@@ -232,6 +258,19 @@ def test_design_file_roundtrip(tmp_path):
     back = load_design(str(path))
     assert back.n == g.n
     assert verify_two_design(back) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: sic_from_fiducial(builtin_fiducial(2)),
+              lambda: sic_from_fiducial(builtin_fiducial(3)),
+              lambda: mub_prime(5)],
+    ids=["sic2", "sic3", "mub5"],
+)
+def test_save_design_writes_the_bytes_of_its_vector_views(build, tmp_path):
+    g = build()
+    save_design(g, str(tmp_path / "stack.json"))
+    write_json({"dim": g.d, "vectors": [_pairs(k.vec) for k in g.vectors]}, str(tmp_path / "kets.json"))
+    assert (tmp_path / "stack.json").read_bytes() == (tmp_path / "kets.json").read_bytes()
 
 
 def test_load_rejects_malformed(tmp_path):

@@ -431,6 +431,17 @@ def test_cli_search_fiducial_refuses_a_dimension_beyond_64(capsys, monkeypatch):
     assert "64" in err
 
 
+def test_cli_verify_design_refuses_a_mub_dimension_beyond_64(capsys, monkeypatch):
+    def no_allocation(*args):
+        raise AssertionError("the primality test or the two-design check ran")
+
+    monkeypatch.setattr(designs, "_is_prime", no_allocation)
+    monkeypatch.setattr(designs, "_pair_projector_sum", no_allocation)
+    code = main(["verify-design", "--kind", "mub", "--dim", "101"])
+    err = assert_one_line_usage_error(code, capsys)
+    assert "64" in err
+
+
 def test_cli_verify_all_json_is_byte_stable(tmp_path, monkeypatch):
     # the search's wall time differs between runs (the first one also imports
     # scipy); criterion 12 reads the clock only to time the search

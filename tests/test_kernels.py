@@ -20,7 +20,9 @@ from transposim import (
     Operator,
     ValidationError,
     apply_to_factor,
+    Design,
     build_fig2_pipeline,
+    build_two_step,
     builtin_fiducial,
     channel_from_cj,
     channel_from_measure_prepare,
@@ -29,6 +31,7 @@ from transposim import (
     hw_orbit,
     kraus_ops,
     make_design,
+    measure_prepare_from_design,
     mub_prime,
     path_probabilities,
     run_pipeline,
@@ -36,8 +39,9 @@ from transposim import (
     simulate_circuit,
     swap_operator,
 )
+from transposim import linalg
 from transposim.designs import _pair_projector_sum, two_design_residual
-from transposim.twostep import _assemble, _fourier_effects
+from transposim.twostep import TwoStepMeasurement, _assemble, _fourier_effects
 
 TOL = 1e-12
 
@@ -135,6 +139,22 @@ def test_make_design_reports_failures_in_vector_order():
         make_design([good[0], scaled, np.array([1.0, 0.0])])
     with pytest.raises(DomainError, match="vector 1 has dimension 2"):
         make_design([good[0], np.array([1.0, 0.0]), scaled])
+
+
+def test_make_design_checks_an_array_as_one_stack():
+    good = random_unit_vectors(3, 3, 5)
+    scaled = good.copy()
+    scaled[2] *= 1.5
+    with pytest.raises(ValidationError) as err:
+        make_design(scaled)
+    assert err.value.check == "norm"
+    assert abs(err.value.residual - abs(np.linalg.norm(scaled[2]) - 1.0)) < TOL
+    # a non-finite entry is refused before any norm, as the Ket-by-Ket form does
+    bad = good.copy()
+    bad[0] *= 1.5
+    bad[1, 0] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        make_design(bad)
 
 
 def ref_measure_prepare_cj(effects, preps):
@@ -284,3 +304,86 @@ def test_apply_to_factor_matches_dense_kron_loop(factor):
     out = apply_to_factor(e, rho, factor)
     assert out.dims == dims
     assert np.abs(out.mat - ref).max() < TOL
+
+
+def realization_records():
+    """A MUB design and its measure-and-prepare pair, a qutrit two-step measurement, the optics."""
+    g = mub_prime(5)
+    mp, _ = measure_prepare_from_design(g)
+    return g, mp, build_two_step(builtin_fiducial(3)), build_fig2_pipeline(builtin_fiducial(2))
+
+
+def test_record_views_equal_their_stacks_bit_for_bit():
+    g, mp, ts, pipe = realization_records()
+    pairs = [
+        (g.vector_stack, [k.vec for k in g.vectors]),
+        (mp.effect_stack, [m.mat for m in mp.effects]),
+        (mp.preparation_stack, [k.vec for k in mp.preparations]),
+        (np.array([np.diag(a) for a in ts.kraus_diagonals]), [m.mat for m in ts.first_kraus]),
+        (ts.fourier_effects, [m.mat for m in ts.second_effects]),
+        (ts.assembled_stack, [m.mat for m in ts.assembled]),
+        (pipe.effect_stack, [m.mat for m in pipe.effects]),
+        (pipe.prepared_stack, [k.vec for k in pipe.prepared_states]),
+    ]
+    for stack, views in pairs:
+        assert np.array(views).tobytes() == stack.tobytes()
+    assert g.vectors is g.vectors and ts.assembled is ts.assembled
+    assert np.array_equal(design_matrix(g), g.vector_stack)
+
+
+def test_record_stacks_are_read_only():
+    g, mp, ts, pipe = realization_records()
+    stacks = [
+        g.vector_stack, mp.effect_stack, mp.preparation_stack, ts.kraus_diagonals,
+        ts.fourier_effects, ts.assembled_stack, ts.orbit, pipe.effect_stack, pipe.prepared_stack,
+    ]
+    for stack in stacks:
+        with pytest.raises(ValueError):
+            stack[0] = 0
+
+
+def test_record_constructors_take_wrappers_or_arrays():
+    g, mp, ts, pipe = realization_records()
+    effects, preps = mp.effect_stack.copy(), mp.preparation_stack.copy()
+    from_arrays = MeasurePrepare(effects, preps)
+    effects[0] = 0  # the record holds its own copy
+    from_wrappers = MeasurePrepare(mp.effects, mp.preparations)
+    for rec in (from_arrays, from_wrappers):
+        assert np.array_equal(rec.effect_stack, mp.effect_stack)
+        assert np.array_equal(rec.preparation_stack, mp.preparation_stack)
+    rebuilt = Design(g.d, g.vectors, g.kind, g.two_design_residual, g.coherence_residual)
+    assert np.array_equal(rebuilt.vector_stack, g.vector_stack)
+    args = (ts.d, ts.fiducial, ts.first_kraus, ts.second_effects, ts.assembled, ts.convention, ts.orbit)
+    assert np.array_equal(TwoStepMeasurement(*args).kraus_diagonals, ts.kraus_diagonals)
+    dense = (Operator(np.ones((3, 3))),) + ts.first_kraus[1:]
+    with pytest.raises(DomainError, match="diagonal"):
+        TwoStepMeasurement(ts.d, ts.fiducial, dense, *args[3:])
+
+
+def count_constructions(monkeypatch):
+    counts = {"Ket": 0, "Operator": 0}
+    for name in counts:
+        cls = getattr(linalg, name)
+
+        def counting(self, *args, _name=name, _init=cls.__init__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_design_realization_builds_no_per_vector_wrappers(d, monkeypatch):
+    counts = count_constructions(monkeypatch)
+    measure_prepare_from_design(mub_prime(d))
+    # the swap operator of the two-design check and the CJ matrix, for any d
+    assert counts == {"Ket": 0, "Operator": 2}
+
+
+def test_simulate_circuit_builds_no_assembled_operators(monkeypatch):
+    f, rho = builtin_fiducial(3), haar_random_density(3, 4)
+    counts = count_constructions(monkeypatch)
+    simulate_circuit(f, rho)
+    # only the output state wraps an Operator
+    assert counts == {"Ket": 0, "Operator": 1}
