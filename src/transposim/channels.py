@@ -60,7 +60,8 @@ class MeasurePrepare:
 
     Built from `Operator`/`Ket` sequences or from arrays, and held as the
     read-only stacks `effect_stack` (N, d, d) and `preparation_stack` (N, d);
-    the `effects` and `preparations` tuples are derived on first read.
+    the `effects` and `preparations` tuples are derived on first read and
+    carry dims (d,).
     """
 
     effect_stack: np.ndarray

@@ -57,7 +57,8 @@ class Design:
     """Unit vectors with the residuals `make_design` verified when it built them.
 
     The vectors are held once, as the read-only (N, d) `vector_stack`; the
-    `vectors` tuple of `Ket`s is derived from it on first read.
+    `vectors` tuple of `Ket`s is derived from it on first read, each with
+    dims (d,): tensor-factor dims of the input vectors are not kept.
     """
 
     d: int

@@ -31,16 +31,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _stack(items, attr: str) -> np.ndarray:
-    """One frozen array from an ndarray or from a sequence of Ket ("vec") / Operator ("mat").
-
-    A read-only complex array that owns its data is what `_frozen` returns, so
-    it was checked already and is kept rather than copied again.
-    """
-    if not isinstance(items, np.ndarray):
-        return _frozen([getattr(x, attr) for x in items])
-    if items.dtype == complex and items.flags.owndata and not items.flags.writeable:
-        return items
-    return _frozen(items)
+    """One frozen copy of an ndarray or of a sequence of Ket ("vec") / Operator ("mat")."""
+    return _frozen(items if isinstance(items, np.ndarray) else [getattr(x, attr) for x in items])
 
 
 def _check_hermitian(m: np.ndarray, unit_trace: bool = False) -> None:

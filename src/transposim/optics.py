@@ -94,7 +94,7 @@ class Fig2Pipeline:
     arm is k = 0.  The path effects and the prepared (conjugated) states are
     held as the read-only stacks `effect_stack` (4, 2, 2) and `prepared_stack`
     (4, 2); the `effects` and `prepared_states` tuples are derived on first
-    read, and the constructor takes either form.
+    read with dims (2,), and the constructor takes either form.
     """
 
     fiducial: Fiducial

@@ -20,7 +20,7 @@ import numpy as np
 from .channels import MeasurePrepare, _measure_and_prepare, channel_from_measure_prepare
 from .designs import Fiducial, _sic_orbit, hw_orbit, weyl_pair
 from .errors import ConventionMismatch, DomainError
-from .linalg import DensityMatrix, Operator, _stack, phase_free_distance
+from .linalg import DensityMatrix, Operator, _frozen, _stack, phase_free_distance
 
 ASSEMBLY_TOL = 1e-10
 
@@ -33,7 +33,9 @@ class TwoStepMeasurement:
     `fourier_effects` (d, d, d) the projectors B_l and `assembled_stack`
     (d^2, d, d) the effects A_k^dag B_l A_k at index k*d + l.  The
     `first_kraus`, `second_effects` and `assembled` tuples of `Operator`s are
-    derived on first read; the constructor takes either form.
+    derived on first read and carry dims (d,).  The constructor takes either
+    form: `first_kraus` is a sequence of diagonal `Operator`s or the (d, d)
+    array of their diagonals.  A stack of another shape raises DomainError.
     """
 
     d: int
@@ -46,16 +48,26 @@ class TwoStepMeasurement:
 
     def __init__(self, d: int, fiducial: Fiducial, first_kraus, second_effects, assembled,
                  convention: str, orbit: np.ndarray):
-        if not isinstance(first_kraus, np.ndarray):
+        if isinstance(first_kraus, np.ndarray):
+            diag = _frozen(first_kraus)
+        else:
             mats = _stack(first_kraus, "mat")
-            first_kraus = np.diagonal(mats, axis1=1, axis2=2)
-            if np.count_nonzero(mats) != np.count_nonzero(first_kraus):
+            if mats.shape != (d, d, d):
+                raise DomainError(f"first-step Kraus operators of shape {mats.shape}, expected {(d, d, d)}")
+            diag = _frozen(np.diagonal(mats, axis1=1, axis2=2))
+            if np.count_nonzero(mats) != np.count_nonzero(diag):
                 raise DomainError("the first-step Kraus operators must be diagonal")
+        stacks = {
+            "kraus_diagonals": (diag, (d, d)),
+            "fourier_effects": (_stack(second_effects, "mat"), (d, d, d)),
+            "assembled_stack": (_stack(assembled, "mat"), (d * d, d, d)),
+        }
+        for name, (arr, shape) in stacks.items():
+            if arr.shape != shape:
+                raise DomainError(f"{name} of shape {arr.shape}, expected {shape}")
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "fiducial", fiducial)
-        object.__setattr__(self, "kraus_diagonals", _stack(first_kraus, "mat"))
-        object.__setattr__(self, "fourier_effects", _stack(second_effects, "mat"))
-        object.__setattr__(self, "assembled_stack", _stack(assembled, "mat"))
         object.__setattr__(self, "convention", convention)
         object.__setattr__(self, "orbit", orbit)
 

@@ -360,6 +360,30 @@ def test_record_constructors_take_wrappers_or_arrays():
         TwoStepMeasurement(ts.d, ts.fiducial, dense, *args[3:])
 
 
+def test_record_constructors_check_and_copy_read_only_arrays():
+    g, mp, ts, pipe = realization_records()
+    owned = mp.preparation_stack.copy()
+    owned.setflags(write=False)
+    rec = MeasurePrepare(mp.effect_stack, owned)
+    owned.setflags(write=True)
+    owned[0] = 0  # a read-only input is copied too, not shared
+    assert np.array_equal(rec.preparation_stack, mp.preparation_stack)
+    owned[0] = np.nan
+    owned.setflags(write=False)
+    with pytest.raises(DomainError, match="non-finite"):
+        MeasurePrepare(mp.effect_stack, owned)
+    tail = (ts.convention, ts.orbit)
+    full = np.stack([k.mat for k in ts.first_kraus])  # (d, d, d), not the (d, d) diagonals
+    with pytest.raises(DomainError, match="kraus_diagonals"):
+        TwoStepMeasurement(ts.d, ts.fiducial, full, ts.fourier_effects, ts.assembled_stack, *tail)
+    with pytest.raises(DomainError, match="assembled_stack"):
+        TwoStepMeasurement(ts.d, ts.fiducial, ts.kraus_diagonals, ts.fourier_effects,
+                           ts.assembled_stack[:-1], *tail)
+    with pytest.raises(DomainError, match="first-step"):
+        TwoStepMeasurement(ts.d, ts.fiducial, ts.first_kraus[:-1], ts.second_effects,
+                           ts.assembled, *tail)
+
+
 def count_constructions(monkeypatch):
     counts = {"Ket": 0, "Operator": 0}
     for name in counts:
