@@ -52,8 +52,6 @@ class TwoStepMeasurement:
             diag = _frozen(first_kraus)
         else:
             mats = _stack(first_kraus, "mat")
-            if mats.shape != (d, d, d):
-                raise DomainError(f"first-step Kraus operators of shape {mats.shape}, expected {(d, d, d)}")
             diag = _frozen(np.diagonal(mats, axis1=1, axis2=2))
             if np.count_nonzero(mats) != np.count_nonzero(diag):
                 raise DomainError("the first-step Kraus operators must be diagonal")

@@ -379,7 +379,7 @@ def test_record_constructors_check_and_copy_read_only_arrays():
     with pytest.raises(DomainError, match="assembled_stack"):
         TwoStepMeasurement(ts.d, ts.fiducial, ts.kraus_diagonals, ts.fourier_effects,
                            ts.assembled_stack[:-1], *tail)
-    with pytest.raises(DomainError, match="first-step"):
+    with pytest.raises(DomainError, match="kraus_diagonals"):
         TwoStepMeasurement(ts.d, ts.fiducial, ts.first_kraus[:-1], ts.second_effects,
                            ts.assembled, *tail)
 
