@@ -7,6 +7,7 @@ proportional to the identity, so it induces a measurement.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -305,15 +306,76 @@ OVERLAP_DEV_TOL = 1e-6
 OVERLAP_DEV_ACCEPT = 1e-10
 
 
-def minimize(fun, x0, **kwargs):
-    """`scipy.optimize.minimize`, imported on first call.
+LBFGS_MEMORY = 10
+ARMIJO_C1 = 1e-4
+LINE_SEARCH_TRIALS = 40
 
-    Only the fiducial search needs scipy, so importing `transposim` does not
-    load it.
+
+@dataclass(frozen=True)
+class Minimum:
+    """Where `minimize` stopped, and the iterations it took to get there."""
+
+    x: np.ndarray
+    nit: int
+
+
+def minimize(fun, x0, args=(), maxiter: int = 15000, ftol: float = 2.2e-9,
+             gtol: float = 1e-5) -> Minimum:
+    """Minimize `fun(x, *args) -> (value, gradient)` over real vectors by L-BFGS.
+
+    Two-loop recursion (Nocedal 1980) over the last 10 (s, y) pairs, with the
+    initial inverse Hessian scaled by s.y / y.y, or by 1/|g| while the memory
+    is empty, so a first or reset step has unit length as in L-BFGS-B. An
+    update with s.y <= 0 is skipped, and a direction that does not descend
+    resets the memory to steepest descent. Each step backtracks by halving
+    from 1 until the Armijo condition holds (c1 = 1e-4, at most 40 trials).
+    Stops on |g|_inf <= gtol, on a relative decrease
+    (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ftol, on a failed line search,
+    or after `maxiter` iterations.
     """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **kwargs)
+    x = np.array(x0, dtype=float)
+    f, g = fun(x, *args)
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
+    nit = 0
+    while nit < maxiter and np.abs(g).max() > gtol:
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            a = rho * (s @ q)
+            q -= a * y
+            alphas.append(a)
+        if pairs:
+            s, y, _ = pairs[-1]
+            q *= (s @ y) / (y @ y)
+        else:
+            q /= np.linalg.norm(g)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            q += (a - rho * (y @ q)) * s
+        p = -q
+        slope = g @ p
+        if not slope < 0:
+            pairs.clear()
+            p = -g / np.linalg.norm(g)
+            slope = g @ p
+        step = 1.0
+        for _ in range(LINE_SEARCH_TRIALS):
+            x_new = x + step * p
+            f_new, g_new = fun(x_new, *args)
+            if f_new <= f + ARMIJO_C1 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        s, y = x_new - x, g_new - g
+        sy = s @ y
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+        nit += 1
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if decrease <= ftol:
+            break
+    return Minimum(x, nit)
 
 
 def _displacements(d: int) -> np.ndarray:
@@ -402,24 +464,12 @@ def fiducial_search(
             x0 = np.concatenate([start.ket.vec.real, start.ket.vec.imag])
         else:
             x0 = rng.standard_normal(2 * d)
-        res = minimize(
-            _orbit_fp_and_grad,
-            x0,
-            args=(disp, d),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": min(800, budget), "ftol": 1e-18, "gtol": 1e-14},
-        )
+        res = minimize(_orbit_fp_and_grad, x0, args=(disp, d),
+                       maxiter=min(800, budget), ftol=1e-18, gtol=1e-14)
         budget -= max(1, int(res.nit))
         if budget > 0:
-            polish = minimize(
-                _overlap_dev_and_grad,
-                res.x,
-                args=(disp, d),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": min(400, budget), "ftol": 1e-30, "gtol": 1e-20},
-            )
+            polish = minimize(_overlap_dev_and_grad, res.x, args=(disp, d),
+                              maxiter=min(400, budget), ftol=1e-30, gtol=1e-20)
             budget -= max(1, int(polish.nit))
             res = polish
         psi = res.x[:d] + 1j * res.x[d:]
@@ -453,9 +503,6 @@ def _load_vectors(path: str) -> tuple[int, list[np.ndarray]]:
     for i, v in enumerate(vecs):
         if v.size != d:
             raise ParseError(f"{path}: vector {i} has length {v.size}, expected {d}")
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValidationError("norm", abs(nrm - 1.0))
     return d, vecs
 
 
@@ -465,6 +512,11 @@ def save_fiducial(f: Fiducial, path: str) -> None:
 
 def load_fiducial(path: str) -> Fiducial:
     d, vecs = _load_vectors(path)
+    # a design file's norms are checked by make_design, on the stack
+    for v in vecs:
+        dev = abs(float(np.linalg.norm(v)) - 1.0)
+        if dev > 1e-12:
+            raise ValidationError("norm", dev)
     if len(vecs) != 1:
         raise ParseError(f"{path}: a fiducial file holds exactly one vector, found {len(vecs)}")
     return Fiducial(d, Ket(vecs[0]))
@@ -475,4 +527,5 @@ def save_design(g: Design, path: str) -> None:
 
 
 def load_design(path: str, kind: str = "custom") -> Design:
-    return make_design(_load_vectors(path)[1], kind=kind)
+    # every vector has length d, so a non-empty file is checked as one (N, d) stack
+    return make_design(np.array(_load_vectors(path)[1]), kind=kind)

@@ -1,6 +1,6 @@
-"""Cold start: scipy is imported only when a SIC fiducial search runs.
+"""No command imports scipy: every subcommand runs with scipy blocked.
 
-Each check runs the CLI in a fresh interpreter, because the test process
+The check runs the CLI in a fresh interpreter, because the test process
 itself may already have loaded scipy.
 """
 
@@ -15,30 +15,24 @@ import numpy as np
 import transposim
 from transposim import DensityMatrix, save_state
 
-# runs main() on each argv in turn, then prints the exit codes and the loaded
-# scipy modules as the last line of stdout
+# blocks scipy (any import of it raises ImportError), runs main() on each argv
+# in turn, then tries `import scipy.optimize` as the positive control and
+# prints the exit codes and the control's outcome as the last line of stdout
 RUNNER = """
 import json, sys
+sys.modules["scipy"] = None
 from transposim.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+try:
+    import scipy.optimize
+    control = "imported"
+except ImportError:
+    control = "ImportError"
+print(json.dumps({"codes": codes, "control": control}))
 """
 
 
-def start_cli(commands, cwd):
-    env = dict(os.environ, PYTHONPATH=str(Path(transposim.__file__).parents[1]))
-    return subprocess.Popen([sys.executable, "-c", RUNNER, json.dumps(commands)], cwd=cwd,
-                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-
-
-def finish(proc):
-    out, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0, err
-    return json.loads(out.strip().splitlines()[-1])
-
-
-def test_only_the_fiducial_search_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     qubit = tmp_path / "qubit.json"
     save_state(DensityMatrix(np.diag([1.0, 0.0])), str(qubit))
     singlet = np.zeros((4, 4))
@@ -48,18 +42,19 @@ def test_only_the_fiducial_search_imports_scipy(tmp_path):
     commands = [
         ["verify-design", "--dim", "3", "--kind", "sic"],
         ["verify-design", "--dim", "5", "--kind", "mub"],
+        ["search-fiducial", "--dim", "4", "--seed", "7"],
         *(["apply-approx-transpose", "--state", str(qubit), "--via", via]
           for via in ("formula", "design", "two-step", "optics")),
         ["detect", "--state", str(pair), "--cut", "A|B", "--shots", "500", "--seed", "9"],
         ["tripartite-demo"],
+        ["verify-all", "--max-dim", "3"],
     ]
-    # both interpreters start at once: the control's scipy import overlaps the other run
-    without_search = start_cli(commands, tmp_path)
-    control = start_cli([["search-fiducial", "--dim", "4", "--seed", "7"]], tmp_path)
-    quiet, searched = finish(without_search), finish(control)
+    env = dict(os.environ, PYTHONPATH=str(Path(transposim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(commands)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
 
-    assert quiet["codes"] == [0] * len(commands)
-    assert quiet["scipy"] == []
-    # the positive control shows the check sees a scipy import when one happens
-    assert searched["codes"] == [0]
-    assert "scipy.optimize" in searched["scipy"]
+    assert report["codes"] == [0] * len(commands)
+    # the positive control shows the block makes a scipy import fail
+    assert report["control"] == "ImportError"

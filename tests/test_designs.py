@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -223,6 +224,55 @@ def test_search_gradients_match_finite_differences(objective):
         assert abs((fp - fm) / (2 * eps) - grad[i]) < 1e-5
 
 
+def _quadratic(x):
+    a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+    e = x - np.array([1.0, -2.0, 0.5])
+    return 0.5 * e @ a @ e, a @ e
+
+
+def _rosenbrock(x):
+    r = x[1] - x[0] ** 2
+    f = (1 - x[0]) ** 2 + 100 * r**2
+    return f, np.array([-2 * (1 - x[0]) - 400 * x[0] * r, 200 * r])
+
+
+@pytest.mark.parametrize(
+    "fun, x0, x_min",
+    [(_quadratic, np.zeros(3), np.array([1.0, -2.0, 0.5])),
+     (_rosenbrock, np.array([-1.2, 1.0]), np.ones(2))],
+    ids=["quadratic", "rosenbrock"],
+)
+def test_minimize_reaches_the_gradient_tolerance(fun, x0, x_min):
+    res = designs.minimize(fun, x0, maxiter=1000, ftol=0.0, gtol=1e-10)
+    assert np.abs(fun(res.x)[1]).max() <= 1e-10
+    assert np.allclose(res.x, x_min, atol=1e-8)
+    assert 0 < res.nit < 1000
+
+
+def test_minimize_stops_at_maxiter():
+    res = designs.minimize(_rosenbrock, np.array([-1.2, 1.0]), maxiter=1)
+    assert res.nit == 1
+
+
+def test_minimize_is_bit_identical_across_runs():
+    d = 5
+    disp = _displacements(d)
+    x0 = np.random.default_rng(2).standard_normal(2 * d)
+    runs = [designs.minimize(_orbit_fp_and_grad, x0, args=(disp, d), maxiter=800,
+                             ftol=1e-18, gtol=1e-14) for _ in range(2)]
+    assert runs[0].x.tobytes() == runs[1].x.tobytes()
+    assert runs[0].nit == runs[1].nit
+
+
+def test_fiducial_search_certifies_small_dimensions_quickly():
+    start = time.perf_counter()
+    for d in range(2, 9):
+        for seed in range(3):
+            excess, dev = orbit_certificate(fiducial_search(d, seed=seed))
+            assert abs(excess) < 1e-10 and dev < 1e-10, (d, seed)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_fiducial_search_qubit():
     f = fiducial_search(2, seed=0)
     excess, dev = orbit_certificate(f)
@@ -284,3 +334,14 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text('{"dim": 2, "vectors": [[[0.7, 0.0], [0.7, 0.0]]]}')
     with pytest.raises(ValidationError):
         load_fiducial(str(path))
+
+
+def test_design_file_with_an_unnormalized_vector_is_refused(tmp_path):
+    path = tmp_path / "design.json"
+    unit = [[1.0, 0.0], [0.0, 0.0]]
+    short = [[0.6, 0.0], [0.0, 0.7]]
+    write_json({"dim": 2, "vectors": [unit, short]}, str(path))
+    with pytest.raises(ValidationError) as err:
+        load_design(str(path))
+    assert err.value.check == "norm"
+    assert err.value.residual == abs(float(np.linalg.norm([0.6, 0.7j])) - 1.0)

@@ -443,8 +443,8 @@ def test_cli_verify_design_refuses_a_mub_dimension_beyond_64(capsys, monkeypatch
 
 
 def test_cli_verify_all_json_is_byte_stable(tmp_path, monkeypatch):
-    # the search's wall time differs between runs (the first one also imports
-    # scipy); criterion 12 reads the clock only to time the search
+    # the search's wall time differs between runs; criterion 12 reads the
+    # clock only to time the search
     clock = iter([0.0, 0.1, 0.0, 0.5])
     monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
