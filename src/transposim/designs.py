@@ -319,17 +319,33 @@ class Minimum:
     nit: int
 
 
+def _armijo_step(fun, args, x, f, p, slope):
+    """The first x + p / 2^k, k < 40, that meets the Armijo condition, or None."""
+    step = 1.0
+    for _ in range(LINE_SEARCH_TRIALS):
+        x_new = x + step * p
+        if np.array_equal(x_new, x):
+            return None  # the step no longer moves x: no smaller one will
+        f_new, g_new = fun(x_new, *args)
+        if f_new <= f + ARMIJO_C1 * step * slope:
+            return x_new, f_new, g_new
+        step *= 0.5
+    return None
+
+
 def minimize(fun, x0, args=(), maxiter: int = 15000, ftol: float = 2.2e-9,
              gtol: float = 1e-5) -> Minimum:
     """Minimize `fun(x, *args) -> (value, gradient)` over real vectors by L-BFGS.
 
     Two-loop recursion (Nocedal 1980) over the last 10 (s, y) pairs, with the
-    initial inverse Hessian scaled by s.y / y.y, or by 1/|g| while the memory
-    is empty, so a first or reset step has unit length as in L-BFGS-B. An
+    initial inverse Hessian scaled by s.y / y.y. While the memory is empty it
+    is 1 / max(1, |g|): a first step from far away has unit length, as in
+    L-BFGS-B, and one from near a minimum is the plain gradient step. An
     update with s.y <= 0 is skipped, and a direction that does not descend
     resets the memory to steepest descent. Each step backtracks by halving
-    from 1 until the Armijo condition holds (c1 = 1e-4, at most 40 trials).
-    Stops on |g|_inf <= gtol, on a relative decrease
+    from 1 until the Armijo condition holds (c1 = 1e-4, at most 40 trials);
+    the line search fails early once the trial point equals x. Stops on
+    |g|_inf <= gtol, on a relative decrease
     (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ftol, on a failed line search,
     or after `maxiter` iterations.
     """
@@ -348,24 +364,19 @@ def minimize(fun, x0, args=(), maxiter: int = 15000, ftol: float = 2.2e-9,
             s, y, _ = pairs[-1]
             q *= (s @ y) / (y @ y)
         else:
-            q /= np.linalg.norm(g)
+            q /= max(1.0, np.linalg.norm(g))
         for (s, y, rho), a in zip(pairs, reversed(alphas)):
             q += (a - rho * (y @ q)) * s
         p = -q
         slope = g @ p
         if not slope < 0:
             pairs.clear()
-            p = -g / np.linalg.norm(g)
+            p = -g / max(1.0, np.linalg.norm(g))
             slope = g @ p
-        step = 1.0
-        for _ in range(LINE_SEARCH_TRIALS):
-            x_new = x + step * p
-            f_new, g_new = fun(x_new, *args)
-            if f_new <= f + ARMIJO_C1 * step * slope:
-                break
-            step *= 0.5
-        else:
+        trial = _armijo_step(fun, args, x, f, p, slope)
+        if trial is None:
             break
+        x_new, f_new, g_new = trial
         s, y = x_new - x, g_new - g
         sy = s @ y
         if sy > 0:
