@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -311,8 +312,7 @@ ARMIJO_C1 = 1e-4
 LINE_SEARCH_TRIALS = 40
 
 
-@dataclass(frozen=True)
-class Minimum:
+class Minimum(NamedTuple):
     """Where `minimize` stopped, and the iterations it took to get there."""
 
     x: np.ndarray
