@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .designs import Design, _identity_plus_swap
+from .designs import COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap
 from .errors import DomainError, NotTracePreserving, ParseError
 from .fileio import _integer, _matrix, _pairs, _read_json, write_json
 from .linalg import DensityMatrix, Ket, Operator, _psd_floor, _stack, swap_operator
@@ -193,9 +193,9 @@ def measure_prepare_from_design(g: Design) -> tuple[MeasurePrepare, Channel]:
     the approximate transpose, independent of which design was used.
     """
     res2, resc = g.two_design_residual, g.coherence_residual
-    if res2 >= 1e-10:
+    if res2 >= TWO_DESIGN_TOL:
         raise DomainError(f"design fails the two-design check (residual {res2:.3e})")
-    if resc >= 1e-10:
+    if resc >= COHERENCE_TOL:
         raise DomainError(f"design is not coherent (projector-sum residual {resc:.3e})")
     arr = g.vector_stack
     projectors = arr[:, :, None] * arr[:, None, :].conj()

@@ -21,9 +21,9 @@ from .linalg import Ket, Operator, _frozen, _stack, swap_operator
 TWO_DESIGN_TOL = 1e-10
 COHERENCE_TOL = 1e-10
 SIC_OVERLAP_TOL = 1e-9
-# the two-design check, the SIC overlap check and the fiducial search each hold
-# about d^4 complex entries (about 268 MB at d = 64); larger dimensions are
-# refused before anything is allocated
+# the two-design, SIC overlap and search certificate checks hold d^2 x d^2
+# matrices, about d^4 complex entries (268 MB at d = 64; the search objectives
+# hold d^3); larger dimensions are refused before anything is allocated
 MAX_DIM = 64
 
 
@@ -48,6 +48,10 @@ class Fiducial:
 
     d: int
     ket: Ket
+
+    def __post_init__(self):
+        if self.ket.dim != self.d:
+            raise DomainError(f"fiducial vector has dimension {self.ket.dim}, expected {self.d}")
 
     @property
     def alphas(self) -> np.ndarray:
@@ -202,17 +206,30 @@ def builtin_fiducial(d: int) -> Fiducial:
     return Fiducial(d, Ket(_BUILTIN_FIDUCIALS[d]))
 
 
-def hw_orbit(f: Fiducial) -> np.ndarray:
-    """All d^2 orbit vectors X^k Z^l |fiducial>, indexed k*d + l."""
-    d = f.d
+def _weyl_orbit(v: np.ndarray) -> np.ndarray:
+    """All d^2 vectors X^k Z^l v, stacked (d^2, d) at index k*d + l."""
+    d = v.size
     if d < 2:
         raise DomainError(f"Weyl pair needs dimension >= 2, got {d}")
     idx = np.arange(d)
     # (X^k Z^l a)_n = omega^(l m) a_m with m = n - k mod d
     m = (idx[None, :] - idx[:, None]) % d              # [k, n]
     lm = (idx[None, :, None] * m[:, None, :]) % d      # [k, l, n]
-    out = np.exp(2j * np.pi * lm / d) * f.ket.vec[m][:, None, :]
+    out = np.exp(2j * np.pi * lm / d) * v[m][:, None, :]
     return out.reshape(d * d, d)
+
+
+def hw_orbit(f: Fiducial) -> np.ndarray:
+    """All d^2 orbit vectors X^k Z^l |fiducial>, indexed k*d + l."""
+    return _weyl_orbit(f.ket.vec)
+
+
+def _overlap_law(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|<s_i|s_j>|^2, its deviation from 1/(d+1) with the diagonal zeroed)."""
+    gram2 = np.abs(vecs @ vecs.conj().T) ** 2
+    dev = np.abs(gram2 - 1.0 / (vecs.shape[1] + 1))
+    np.fill_diagonal(dev, 0.0)
+    return gram2, dev
 
 
 def _sic_orbit(f: Fiducial) -> np.ndarray:
@@ -222,10 +239,8 @@ def _sic_orbit(f: Fiducial) -> np.ndarray:
     d = f.d
     _refuse_oversized(d, "a SIC orbit")
     vecs = hw_orbit(f)
-    gram2 = np.abs(vecs @ vecs.conj().T) ** 2
+    gram2, dev = _overlap_law(vecs)
     target = 1.0 / (d + 1)
-    dev = np.abs(gram2 - target)
-    np.fill_diagonal(dev, 0.0)
     worst = np.unravel_index(int(np.argmax(dev)), dev.shape)
     if dev[worst] > SIC_OVERLAP_TOL:
         raise NotSICError(
@@ -389,41 +404,31 @@ def minimize(fun, x0, args=(), maxiter: int = 15000, ftol: float = 2.2e-9,
     return Minimum(x, nit)
 
 
-def _displacements(d: int) -> np.ndarray:
-    wp = weyl_pair(d)
-    xk = [np.linalg.matrix_power(wp.x.mat, k) for k in range(d)]
-    zl = [np.linalg.matrix_power(wp.z.mat, l) for l in range(d)]
-    return np.stack([xk[k] @ zl[l] for k in range(d) for l in range(d)])
-
-
 def orbit_certificate(f: Fiducial) -> tuple[float, float]:
     """(frame-potential excess over the two-design minimum, worst overlap deviation)."""
-    vecs = hw_orbit(f)
-    d = f.d
-    gram2 = np.abs(vecs @ vecs.conj().T) ** 2
-    fp = float(np.sum(gram2**2))
-    excess = fp - two_design_frame_potential(d * d, d)
-    dev = np.abs(gram2 - 1.0 / (d + 1))
-    np.fill_diagonal(dev, 0.0)
+    gram2, dev = _overlap_law(hw_orbit(f))
+    excess = float(np.sum(gram2**2)) - two_design_frame_potential(f.d * f.d, f.d)
     return excess, float(dev.max())
 
 
-def _orbit_fp_and_grad(x: np.ndarray, disp: np.ndarray, d: int) -> tuple[float, np.ndarray]:
+def _orbit_fp_and_grad(x: np.ndarray, d: int) -> tuple[float, np.ndarray]:
     """Orbit frame potential (normalization built in) and its real gradient."""
     psi = x[:d] + 1j * x[d:]
     n = float(np.real(np.vdot(psi, psi)))
-    dpsi = disp @ psi                                  # (d^2, d)
+    dpsi = _weyl_orbit(psi)                            # (d^2, d), row a: D_a psi
     t = dpsi @ psi.conj()                              # t_a = <psi|D_a|psi>
     t2 = np.abs(t) ** 2
     fp = d * d * float(np.sum(t2**2)) / n**4
-    # d/dpsi* of sum |t_a|^4: 2|t_a|^2 (conj(t_a) D_a psi + t_a D_a^dag psi)
-    g = 2.0 * np.einsum("a,ai->i", t2 * t.conj(), dpsi)
-    g += 2.0 * np.einsum("a,ai->i", t2 * t, np.einsum("aij,j->ai", disp.conj().transpose(0, 2, 1), psi))
+    # d/dpsi* of sum |t_a|^4 is sum_a 2|t_a|^2 (conj(t_a) D_a psi + t_a D_a^dag psi).
+    # D_{k,l}^dag = omega^(kl) D_{-k,-l} and t_{-a} = omega^(-kl) conj(t_a), so
+    # re-indexing a -> -a turns the second term into the first wherever the weight
+    # is even in a: here |t_a|^2, in the polish delta_a (delta_{-a} = delta_a, delta_0 = 0)
+    g = 4.0 * (t2 * t.conj()) @ dpsi
     g = d * d * (g / n**4 - 4.0 * (np.sum(t2**2) / n**5) * psi)
     return fp, np.concatenate([2.0 * g.real, 2.0 * g.imag])
 
 
-def _overlap_dev_and_grad(x: np.ndarray, disp: np.ndarray, d: int) -> tuple[float, np.ndarray]:
+def _overlap_dev_and_grad(x: np.ndarray, d: int) -> tuple[float, np.ndarray]:
     """Sum of squared deviations of the cross overlaps from 1/(d+1).
 
     Shares its minimizer set with the frame potential but, being a sum of
@@ -432,15 +437,15 @@ def _overlap_dev_and_grad(x: np.ndarray, disp: np.ndarray, d: int) -> tuple[floa
     """
     psi = x[:d] + 1j * x[d:]
     n = float(np.real(np.vdot(psi, psi)))
-    dpsi = disp @ psi
+    dpsi = _weyl_orbit(psi)
     t = dpsi @ psi.conj()
     t2 = np.abs(t) ** 2 / n**2
     delta = t2 - 1.0 / (d + 1)
     delta[0] = 0.0  # the identity displacement carries overlap 1 by construction
     val = float(np.sum(delta**2))
     coeff = 2.0 * delta
-    g = np.einsum("a,a,ai->i", coeff, t.conj(), dpsi)
-    g += np.einsum("a,a,ai->i", coeff, t, np.einsum("aij,j->ai", disp.conj().transpose(0, 2, 1), psi))
+    # both terms of the gradient folded into one, as in _orbit_fp_and_grad
+    g = 2.0 * (coeff * t.conj()) @ dpsi
     g = g / n**2 - (2.0 * np.sum(coeff * np.abs(t) ** 2) / n**3) * psi
     return val, np.concatenate([2.0 * g.real, 2.0 * g.imag])
 
@@ -465,7 +470,6 @@ def fiducial_search(
         excess, dev = orbit_certificate(start)
         if abs(excess) < FP_EXCESS_TOL and dev < OVERLAP_DEV_TOL:
             return start
-    disp = _displacements(d)
     budget = int(max_iters)
     best_excess = np.inf
     restart = 0
@@ -475,11 +479,11 @@ def fiducial_search(
             x0 = np.concatenate([start.ket.vec.real, start.ket.vec.imag])
         else:
             x0 = rng.standard_normal(2 * d)
-        res = minimize(_orbit_fp_and_grad, x0, args=(disp, d),
+        res = minimize(_orbit_fp_and_grad, x0, args=(d,),
                        maxiter=min(800, budget), ftol=1e-18, gtol=1e-14)
         budget -= max(1, int(res.nit))
         if budget > 0:
-            polish = minimize(_overlap_dev_and_grad, res.x, args=(disp, d),
+            polish = minimize(_overlap_dev_and_grad, res.x, args=(d,),
                               maxiter=min(400, budget), ftol=1e-30, gtol=1e-20)
             budget -= max(1, int(polish.nit))
             res = polish

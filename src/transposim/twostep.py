@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import MeasurePrepare, _measure_and_prepare, channel_from_measure_prepare
-from .designs import Fiducial, _sic_orbit, hw_orbit, weyl_pair
+from .designs import Fiducial, _sic_orbit, _weyl_orbit, hw_orbit
 from .errors import ConventionMismatch, DomainError
 from .linalg import DensityMatrix, Operator, _frozen, _stack, phase_free_distance
 
@@ -143,23 +143,18 @@ def build_two_step(f: Fiducial) -> TwoStepMeasurement:
 def correction_set(f: Fiducial) -> CorrectionSet:
     """U_{k,l} = X^k Phi Z^{-2l} X^{-k} with Phi_m = conj(alpha_m)/alpha_m.
 
-    Phi entries are set to zero where the fiducial amplitude vanishes; the
-    corrections are then partial isometries, still exact on the orbit states.
+    Each U_{k,l} is diagonal: its diagonal is X^k Z^{-2l} phi, a vector of the
+    Weyl orbit of phi = diag(Phi).  Phi entries are set to zero where the
+    fiducial amplitude vanishes; the corrections are then partial isometries,
+    still exact on the orbit states.
     """
     d = f.d
-    wp = weyl_pair(d)
     amps = f.alphas
     zero = np.abs(amps) < 1e-14
     phi_diag = np.where(zero, 0.0, amps.conj() / np.where(zero, 1.0, amps))
-    phi = np.diag(phi_diag)
-    xk = [np.linalg.matrix_power(wp.x.mat, k) for k in range(d)]
-    zm = np.conj(wp.z.mat.T)  # Z^{-1}
-    unitaries = []
-    for k in range(d):
-        for l in range(d):
-            u = xk[k] @ phi @ np.linalg.matrix_power(zm, (2 * l) % d) @ xk[k].conj().T
-            unitaries.append(Operator(u))
-    return CorrectionSet(Operator(phi), tuple(unitaries), partial_isometry=bool(zero.any()))
+    diags = _weyl_orbit(phi_diag).reshape(d, d, d)[:, (-2 * np.arange(d)) % d]
+    unitaries = tuple(Operator(np.diag(u)) for u in diags.reshape(d * d, d))
+    return CorrectionSet(Operator(np.diag(phi_diag)), unitaries, partial_isometry=bool(zero.any()))
 
 
 def simulate_circuit(f: Fiducial, rho: DensityMatrix) -> tuple[np.ndarray, DensityMatrix]:

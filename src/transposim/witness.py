@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import apply_to_factor, approx_transpose
-from .designs import Design, _identity_plus_swap, design_matrix
+from .designs import COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap, design_matrix
 from .errors import DomainError
 from .linalg import (
     DensityMatrix,
@@ -195,7 +195,7 @@ def separable_decomposition_of_transpose_aew(g: Design) -> SeparableDecompositio
     match (identity + V) / (d(d+1)).
     """
     res2, resc = g.two_design_residual, g.coherence_residual
-    if res2 >= 1e-10 or resc >= 1e-10:
+    if res2 >= TWO_DESIGN_TOL or resc >= COHERENCE_TOL:
         raise DomainError(
             f"design fails the required checks (two-design {res2:.3e}, coherence {resc:.3e})"
         )
@@ -204,7 +204,7 @@ def separable_decomposition_of_transpose_aew(g: Design) -> SeparableDecompositio
     factors = tuple(DensityMatrix(np.outer(v, v.conj())) for v in arr)
     dec = SeparableDecomposition(np.full(n, 1.0 / n), factors, factors)
     resid = float(np.linalg.norm(dec.reconstruct().mat - _identity_plus_swap(d)))
-    if resid >= 1e-10:
+    if resid >= TWO_DESIGN_TOL:
         raise DomainError(f"decomposition fails to reconstruct the target ({resid:.3e})")
     return dec
 

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from transposim import (
     weyl_pair,
 )
 from transposim import designs
-from transposim.designs import Fiducial, _displacements, _orbit_fp_and_grad, _overlap_dev_and_grad
+from transposim.designs import Fiducial, _orbit_fp_and_grad, _overlap_dev_and_grad
 from transposim.fileio import _pairs, write_json
 
 
@@ -74,6 +75,12 @@ def test_sic_qutrit_overlaps():
     arr = design_matrix(g)
     for j, k in itertools.combinations(range(9), 2):
         assert abs(abs(np.vdot(arr[j], arr[k])) ** 2 - 1 / 4) < 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 2)])
+def test_fiducial_refuses_a_vector_of_another_dimension(d, n):
+    with pytest.raises(DomainError, match=f"dimension {n}, expected {d}"):
+        Fiducial(d, Ket(np.eye(n)[0]))
 
 
 def test_sic_rejects_basis_fiducial():
@@ -211,17 +218,31 @@ def test_designs_beyond_dimension_64_are_refused_before_allocation(build, tmp_pa
 @pytest.mark.parametrize("objective", [_orbit_fp_and_grad, _overlap_dev_and_grad])
 def test_search_gradients_match_finite_differences(objective):
     d = 3
-    disp = _displacements(d)
     rng = np.random.default_rng(4)
     x = rng.standard_normal(2 * d)
-    _, grad = objective(x, disp, d)
+    _, grad = objective(x, d)
     eps = 1e-6
     for i in range(2 * d):
         dx = np.zeros_like(x)
         dx[i] = eps
-        fp, _ = objective(x + dx, disp, d)
-        fm, _ = objective(x - dx, disp, d)
+        fp, _ = objective(x + dx, d)
+        fm, _ = objective(x - dx, d)
         assert abs((fp - fm) / (2 * eps) - grad[i]) < 1e-5
+
+
+@pytest.mark.parametrize("objective", [_orbit_fp_and_grad, _overlap_dev_and_grad])
+def test_search_objective_at_dimension_32_holds_no_d4_array(objective):
+    d = 32
+    x = np.random.default_rng(1).standard_normal(2 * d)
+    objective(x, d)  # warm up numpy's lazily created internals
+    tracemalloc.start()
+    try:
+        objective(x, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (d^2, d, d) complex stack alone is 16 MiB; the orbit is 0.5 MiB
+    assert peak < 4 * 2**20
 
 
 def _quadratic(x):
@@ -256,9 +277,8 @@ def test_minimize_stops_at_maxiter():
 
 def test_minimize_is_bit_identical_across_runs():
     d = 5
-    disp = _displacements(d)
     x0 = np.random.default_rng(2).standard_normal(2 * d)
-    runs = [designs.minimize(_orbit_fp_and_grad, x0, args=(disp, d), maxiter=800,
+    runs = [designs.minimize(_orbit_fp_and_grad, x0, args=(d,), maxiter=800,
                              ftol=1e-18, gtol=1e-14) for _ in range(2)]
     assert runs[0].x.tobytes() == runs[1].x.tobytes()
     assert runs[0].nit == runs[1].nit

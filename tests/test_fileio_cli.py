@@ -422,10 +422,10 @@ def test_cli_tolerance_must_be_finite_and_positive(capsys, tolerance):
 
 
 def test_cli_search_fiducial_refuses_a_dimension_beyond_64(capsys, monkeypatch):
-    def no_allocation(d):
-        raise AssertionError("the displacement stack was built")
+    def no_allocation(v):
+        raise AssertionError("an orbit was computed")
 
-    monkeypatch.setattr(designs, "_displacements", no_allocation)
+    monkeypatch.setattr(designs, "_weyl_orbit", no_allocation)
     code = main(["search-fiducial", "--dim", str(10**6)])
     err = assert_one_line_usage_error(code, capsys)
     assert "64" in err

@@ -26,7 +26,9 @@ from transposim import (
     builtin_fiducial,
     channel_from_cj,
     channel_from_measure_prepare,
+    correction_set,
     design_matrix,
+    fiducial_search,
     haar_random_density,
     hw_orbit,
     kraus_ops,
@@ -40,7 +42,12 @@ from transposim import (
     swap_operator,
 )
 from transposim import linalg
-from transposim.designs import _pair_projector_sum, two_design_residual
+from transposim.designs import (
+    _orbit_fp_and_grad,
+    _overlap_dev_and_grad,
+    _pair_projector_sum,
+    two_design_residual,
+)
 from transposim.twostep import TwoStepMeasurement, _assemble, _fourier_effects
 
 TOL = 1e-12
@@ -67,20 +74,56 @@ def ref_two_design_residual(vectors):
     return float(np.linalg.norm(ref_pair_projector_sum(vectors) - target))
 
 
-def ref_hw_orbit(fid):
-    d = fid.size
+def ref_weyl_pair(d):
     omega = np.exp(2j * np.pi / d)
     x = np.zeros((d, d), dtype=complex)
     for n in range(d):
         x[(n + 1) % d, n] = 1.0
-    z = np.diag(omega ** np.arange(d))
+    return x, np.diag(omega ** np.arange(d))
+
+
+def ref_displacements(d):
+    """Dense X^k Z^l stacked (d^2, d, d) at index k*d + l."""
+    x, z = ref_weyl_pair(d)
     return np.stack(
         [
-            np.linalg.matrix_power(x, k) @ np.linalg.matrix_power(z, l) @ fid
+            np.linalg.matrix_power(x, k) @ np.linalg.matrix_power(z, l)
             for k in range(d)
             for l in range(d)
         ]
     )
+
+
+def ref_hw_orbit(fid):
+    return ref_displacements(fid.size) @ fid
+
+
+def ref_objective_terms(x, d):
+    """psi, <psi|psi>, t_a = <psi|D_a|psi>, D_a psi and D_a^dag psi from dense D_a."""
+    disp = ref_displacements(d)
+    psi = x[:d] + 1j * x[d:]
+    dpsi = disp @ psi
+    dagpsi = disp.conj().transpose(0, 2, 1) @ psi
+    return psi, np.vdot(psi, psi).real, dpsi @ psi.conj(), dpsi, dagpsi
+
+
+def ref_orbit_fp_and_grad(x, d):
+    psi, n, t, dpsi, dagpsi = ref_objective_terms(x, d)
+    t2 = np.abs(t) ** 2
+    # d/dpsi* of sum |t_a|^4 with both terms written out
+    g = 2.0 * ((t2 * t.conj()) @ dpsi + (t2 * t) @ dagpsi)
+    g = d * d * (g / n**4 - 4.0 * (np.sum(t2**2) / n**5) * psi)
+    return d * d * np.sum(t2**2) / n**4, np.concatenate([2.0 * g.real, 2.0 * g.imag])
+
+
+def ref_overlap_dev_and_grad(x, d):
+    psi, n, t, dpsi, dagpsi = ref_objective_terms(x, d)
+    delta = np.abs(t) ** 2 / n**2 - 1.0 / (d + 1)
+    delta[0] = 0.0
+    coeff = 2.0 * delta
+    g = (coeff * t.conj()) @ dpsi + (coeff * t) @ dagpsi
+    g = g / n**2 - (2.0 * np.sum(coeff * np.abs(t) ** 2) / n**3) * psi
+    return np.sum(delta**2), np.concatenate([2.0 * g.real, 2.0 * g.imag])
 
 
 VECTOR_FAMILIES = {
@@ -113,6 +156,39 @@ def test_hw_orbit_matches_matrix_powers(d):
     got = hw_orbit(Fiducial(d, Ket(fid)))
     assert got.shape == (d * d, d)
     assert np.abs(got - ref_hw_orbit(fid)).max() < TOL
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize(
+    "objective, reference",
+    [(_orbit_fp_and_grad, ref_orbit_fp_and_grad),
+     (_overlap_dev_and_grad, ref_overlap_dev_and_grad)],
+    ids=["frame-potential", "overlap-deviation"],
+)
+def test_search_objectives_match_dense_displacements(objective, reference, d):
+    for seed in range(3):
+        x = np.random.default_rng([d, seed]).standard_normal(2 * d)
+        val, grad = objective(x, d)
+        ref_val, ref_grad = reference(x, d)
+        assert abs(val - ref_val) <= TOL * abs(ref_val)
+        assert np.abs(grad - ref_grad).max() <= TOL * np.abs(ref_grad).max()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_correction_set_matches_matrix_powers(d):
+    f = builtin_fiducial(d) if d in (2, 3) else fiducial_search(d, seed=0)
+    amps = f.alphas
+    zero = np.abs(amps) < 1e-14
+    phi = np.diag(np.where(zero, 0.0, amps.conj() / np.where(zero, 1.0, amps)))
+    x, z = ref_weyl_pair(d)
+    cs = correction_set(f)
+    assert np.array_equal(cs.phi.mat, phi)
+    assert cs.partial_isometry == bool(zero.any())
+    for k in range(d):
+        xk = np.linalg.matrix_power(x, k)
+        for l in range(d):
+            want = xk @ phi @ np.linalg.matrix_power(z.conj().T, (2 * l) % d) @ xk.conj().T
+            assert np.abs(cs.unitaries[k * d + l].mat - want).max() < TOL
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])

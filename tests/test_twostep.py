@@ -104,6 +104,12 @@ def test_qutrit_corrections_are_partial_isometries():
     assert np.abs(cs.phi.mat.diagonal() - np.array([0.0, 1.0, 1.0])).max() < 1e-12
 
 
+@pytest.mark.parametrize("build", [hw_orbit, correction_set])
+def test_weyl_actions_refuse_dimension_one(build):
+    with pytest.raises(DomainError, match="dimension >= 2"):
+        build(Fiducial(1, Ket([1.0])))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_conjugation_condition(d):
     assert verify_corrections(builtin_fiducial(d)) < 1e-10
