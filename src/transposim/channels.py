@@ -24,21 +24,19 @@ import numpy as np
 from .designs import COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap
 from .errors import DomainError, NotTracePreserving, ParseError
 from .fileio import _integer, _matrix, _pairs, _read_json, write_json
-from .linalg import DensityMatrix, Ket, Operator, _psd_floor, _stack, swap_operator
+from .linalg import DensityMatrix, Ket, Operator, _psd_violation, _stack, swap_operator
 
 CJ_TOL = 1e-10
 
 
-def _cptp_flags(cj: np.ndarray, d_in: int) -> tuple[bool, bool, float, float]:
-    """(psd_ok, tp_ok, min_eigenvalue, marginal_residual) for a CJ matrix."""
-    eigs = np.linalg.eigvalsh((cj + cj.conj().T) / 2)
-    min_eig = float(eigs[0])
-    psd_ok = min_eig >= _psd_floor(eigs)
+def _cptp_flags(cj: np.ndarray, d_in: int) -> tuple[float | None, float]:
+    """(psd_violation, marginal_residual) for a CJ matrix; the violation is None if PSD."""
+    violation = _psd_violation(cj)
     d_out = cj.shape[0] // d_in
     # the trace over the output factor must equal identity/d on the reference copy
     marg = np.einsum("abcb->ac", cj.reshape(d_in, d_out, d_in, d_out))
     residual = float(np.abs(marg - np.eye(d_in) / d_in).max())
-    return psd_ok, residual <= CJ_TOL, min_eig, residual
+    return violation, residual
 
 
 @dataclass(frozen=True)
@@ -81,9 +79,10 @@ class MeasurePrepare:
 
 
 def _channel(cj: np.ndarray, d: int, expect_cptp: bool = True) -> Channel:
-    psd_ok, tp_ok, min_eig, residual = _cptp_flags(cj, d)
+    violation, residual = _cptp_flags(cj, d)
+    psd_ok, tp_ok = violation is None, residual <= CJ_TOL
     if expect_cptp and not psd_ok:
-        raise DomainError(f"CJ matrix is not PSD (min eigenvalue {min_eig:.3e})")
+        raise DomainError(f"CJ matrix is not PSD (min eigenvalue {-violation:.3e})")
     if expect_cptp and not tp_ok:
         raise NotTracePreserving(
             f"CJ marginal deviates from identity/d by {residual:.3e}", residual=residual
@@ -129,13 +128,8 @@ def channel_from_cj(chi: DensityMatrix) -> Channel:
     dims = chi.dims
     if len(dims) != 2 or dims[0] != dims[1]:
         raise DomainError(f"CJ state must live on a d x d bipartite space, got dims {dims}")
-    d = dims[0]
-    _, tp_ok, _, residual = _cptp_flags(chi.mat, d)
-    if not tp_ok:
-        raise NotTracePreserving(
-            f"CJ marginal deviates from identity/d by {residual:.3e}", residual=residual
-        )
-    return _channel(chi.mat, d)
+    # chi is PSD as a state, so _channel can only refuse it as not trace preserving
+    return _channel(chi.mat, dims[0])
 
 
 def apply_channel(e: Channel, m):

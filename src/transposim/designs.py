@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NotPrimeError, NotSICError, ParseError, SearchFailed, ValidationError
 from .fileio import _integer, _pairs, _read_json, _vector, write_json
-from .linalg import Ket, Operator, _frozen, _stack, swap_operator
+from .linalg import Ket, Operator, _frozen, _stack
 
 TWO_DESIGN_TOL = 1e-10
 COHERENCE_TOL = 1e-10
@@ -116,7 +116,9 @@ def _pair_projector_sum(vectors: np.ndarray) -> np.ndarray:
 
 def _identity_plus_swap(d: int) -> np.ndarray:
     """(I + V) / (d(d+1)): the CJ matrix of the approximate transpose, 2 P_sym / (d(d+1))."""
-    return (np.eye(d * d) + swap_operator(d).mat) / (d * (d + 1))
+    e = np.eye(d * d).reshape(d, d, d, d)
+    # real, and bit for bit the real part of (I + swap_operator(d).mat) / (d(d+1))
+    return (e + e.swapaxes(0, 1)).reshape(d * d, d * d) / (d * (d + 1))
 
 
 def two_design_residual(vectors: np.ndarray, d: int) -> float:

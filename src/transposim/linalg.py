@@ -46,9 +46,26 @@ def _check_hermitian(m: np.ndarray, unit_trace: bool = False) -> None:
             raise ValidationError("trace", tr)
 
 
-def _psd_floor(eigs: np.ndarray) -> float:
-    """Lowest eigenvalue still counted as nonnegative, relative to the spectrum's scale."""
-    return -PSD_TOL * max(1e-30, float(np.abs(eigs).max()))
+def _psd_violation(m: np.ndarray) -> float | None:
+    """-lambda_min of the Hermitian part h of m if it lies below the floor, else None.
+
+    The floor, the lowest eigenvalue still counted as nonnegative, is
+    -PSD_TOL * max|lambda|.  A Cholesky factorization of h + delta*I, delta =
+    PSD_TOL * max|h_ii|, accepts without an eigensolve: every h_ii lies in h's
+    numerical range, so delta <= PSD_TOL * max|lambda| and the factorization
+    proves lambda_min >= floor.  Only when it fails does eigvalsh on h decide
+    and give the residual.
+    """
+    h = (m + m.conj().T) / 2
+    diag = h.reshape(-1)[:: h.shape[0] + 1]                    # h is new and C-ordered: a view
+    diag += PSD_TOL * float(np.abs(diag).max())
+    try:
+        np.linalg.cholesky(h)
+        return None
+    except np.linalg.LinAlgError:
+        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    floor = -PSD_TOL * max(1e-30, float(np.abs(eigs).max()))
+    return float(-eigs[0]) if eigs[0] < floor else None
 
 
 def _as_dims(dims, total: int) -> tuple[int, ...]:
@@ -114,7 +131,9 @@ class DensityMatrix:
 
     This is the one state check.  A failure raises ValidationError naming the
     first check that fails, in the order hermitian, trace, psd, with its
-    residual: max|M - M^dag|, |tr M - 1| or -lambda_min.
+    residual: max|M - M^dag|, |tr M - 1| or -lambda_min.  PSD is accepted by a
+    Cholesky factorization (`_psd_violation`); eigvalsh runs only to name a
+    failure.
     """
 
     op: Operator
@@ -124,9 +143,9 @@ class DensityMatrix:
             op = Operator(op, dims)
         m = op.mat
         _check_hermitian(m, unit_trace=True)
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if eigs[0] < _psd_floor(eigs):
-            raise ValidationError("psd", float(-eigs[0]))
+        violation = _psd_violation(m)
+        if violation is not None:
+            raise ValidationError("psd", violation)
         object.__setattr__(self, "op", op)
 
     @property

@@ -29,6 +29,7 @@ from transposim import (
     swap_operator,
     transpose_map,
 )
+from transposim import channels, linalg
 
 
 def naive_approx_transpose(x: np.ndarray) -> np.ndarray:
@@ -132,6 +133,20 @@ def test_channel_from_cj_marginal_guard():
     bad = DensityMatrix(np.diag([1.0, 0, 0, 0]), dims=(2, 2))
     with pytest.raises(NotTracePreserving):
         channel_from_cj(bad)
+
+
+def test_channel_from_cj_runs_one_psd_test(monkeypatch):
+    chi = cj_state(approx_transpose(3))
+    calls, psd_violation = [], linalg._psd_violation
+
+    def counting(m):
+        calls.append(m.shape)
+        return psd_violation(m)
+
+    monkeypatch.setattr(linalg, "_psd_violation", counting)
+    monkeypatch.setattr(channels, "_psd_violation", counting)
+    channel_from_cj(chi)
+    assert calls == [(9, 9)]
 
 
 def test_cj_roundtrip_on_action():
@@ -250,3 +265,15 @@ def test_channel_file_rejects_malformed(tmp_path):
     path.write_text('{"d_in": 2, "d_out": 2, "cj": [[0, 1]]}')
     with pytest.raises(ParseError):
         load_channel(str(path))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_load_channel_names_the_min_eigenvalue_of_a_non_psd_cj(d, tmp_path):
+    path = tmp_path / "transpose.json"
+    save_channel(transpose_map(d), str(path))
+    cj = transpose_map(d).cj.mat
+    min_eig = np.linalg.eigvalsh((cj + cj.conj().T) / 2)[0]
+    with pytest.raises(DomainError) as err:
+        load_channel(str(path))
+    assert str(err.value) == f"CJ matrix is not PSD (min eigenvalue {min_eig:.3e})"
+    assert f"{min_eig:.3e}".startswith("-")

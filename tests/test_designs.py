@@ -27,6 +27,7 @@ from transposim import (
     save_design,
     save_fiducial,
     sic_from_fiducial,
+    swap_operator,
     two_design_frame_potential,
     verify_coherent,
     verify_two_design,
@@ -35,6 +36,15 @@ from transposim import (
 from transposim import designs
 from transposim.designs import Fiducial, _orbit_fp_and_grad, _overlap_dev_and_grad
 from transposim.fileio import _pairs, write_json
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_identity_plus_swap_is_real_and_bit_identical(d):
+    got = designs._identity_plus_swap(d)
+    ref = (np.eye(d * d) + swap_operator(d).mat) / (d * (d + 1))
+    assert got.dtype == np.float64
+    assert not ref.imag.any()
+    assert got.tobytes() == ref.real.tobytes()
 
 
 def test_weyl_pair_qubit():

@@ -477,8 +477,8 @@ def count_constructions(monkeypatch):
 def test_design_realization_builds_no_per_vector_wrappers(d, monkeypatch):
     counts = count_constructions(monkeypatch)
     measure_prepare_from_design(mub_prime(d))
-    # the swap operator of the two-design check and the CJ matrix, for any d
-    assert counts == {"Ket": 0, "Operator": 2}
+    # only the CJ matrix: the two-design check's target is a plain real array
+    assert counts == {"Ket": 0, "Operator": 1}
 
 
 def test_simulate_circuit_builds_no_assembled_operators(monkeypatch):

@@ -20,6 +20,8 @@ from transposim import (
     phase_free_distance,
     swap_operator,
 )
+from transposim.errors import ValidationError
+from transposim.linalg import PSD_TOL, _psd_violation
 
 
 def random_hermitian(d, seed):
@@ -220,3 +222,66 @@ def test_arrays_are_frozen():
     m = identity((3,))
     with pytest.raises(ValueError):
         m.mat[0, 0] = 2.0
+
+
+def eigvalsh_rule(m):
+    """Reference PSD rule: -lambda_min of the Hermitian part if below -PSD_TOL * max|lambda|."""
+    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    floor = -PSD_TOL * max(1e-30, float(np.abs(eigs).max()))
+    return float(-eigs[0]) if eigs[0] < floor else None
+
+
+def assert_state_check_matches_rule(m):
+    assert _psd_violation(m) == eigvalsh_rule(m)
+    # a DensityMatrix checks its complex copy, so the rule is applied to that copy
+    expected = eigvalsh_rule(Operator(m).mat)
+    if expected is None:
+        DensityMatrix(m)
+    else:
+        with pytest.raises(ValidationError) as err:
+            DensityMatrix(m)
+        assert err.value.check == "psd"
+        assert err.value.residual == expected
+
+
+def seeded_state(dim, rank, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 9, 27, 64])
+def test_psd_check_accepts_states_of_every_rank_without_an_eigensolve(dim, monkeypatch):
+    states = [seeded_state(dim, rank, 100 * dim + rank) for rank in range(1, dim + 1)]
+    for rho in states:
+        assert_state_check_matches_rule(rho)
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a))
+    for rho in states:
+        DensityMatrix(rho)
+    assert calls == []
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 16, 64])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("times_floor", [0.5, 0.999, 1.001, 2.0])
+def test_psd_check_matches_eigvalsh_at_the_floor(dim, field, times_floor):
+    rng = np.random.default_rng(dim)
+    g = rng.standard_normal((dim, dim))
+    if field == "complex":
+        g = g + 1j * rng.standard_normal((dim, dim))
+    u, _ = np.linalg.qr(g)
+    spectrum = rng.uniform(0.1, 1.0, dim)
+    spectrum[0] = times_floor * -PSD_TOL * spectrum.max()
+    m = (u * spectrum) @ u.conj().T
+    assert_state_check_matches_rule(m / np.trace(m).real)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [np.diag([1.0, -PSD_TOL]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((3, 3))],
+    ids=["at-floor", "sigma-x", "zero"],
+)
+def test_psd_check_matches_eigvalsh_on_edge_matrices(m):
+    assert _psd_violation(m) == eigvalsh_rule(m)
