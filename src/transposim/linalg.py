@@ -35,18 +35,23 @@ def _stack(items, attr: str) -> np.ndarray:
     return _frozen(items if isinstance(items, np.ndarray) else [getattr(x, attr) for x in items])
 
 
-def _check_hermitian(m: np.ndarray, unit_trace: bool = False) -> None:
-    """Raise ValidationError("hermitian" | "trace", residual) past the tolerances."""
-    herm = float(np.abs(m - m.conj().T).max())
+def _check_hermitian(m: np.ndarray, unit_trace: bool = False) -> np.ndarray:
+    """Raise ValidationError("hermitian" | "trace", residual) past the tolerances.
+
+    Returns m^dag, formed once here, for callers that go on to m's Hermitian part.
+    """
+    mh = m.conj().T
+    herm = float(np.abs(m - mh).max())
     if herm > HERMITIAN_TOL:
         raise ValidationError("hermitian", herm)
     if unit_trace:
-        tr = abs(complex(np.trace(m)) - 1.0)
+        tr = abs(complex(m.trace()) - 1.0)
         if tr > TRACE_TOL:
             raise ValidationError("trace", tr)
+    return mh
 
 
-def _psd_violation(m: np.ndarray) -> float | None:
+def _psd_violation(m: np.ndarray, h: np.ndarray | None = None) -> float | None:
     """-lambda_min of the Hermitian part h of m if it lies below the floor, else None.
 
     The floor, the lowest eigenvalue still counted as nonnegative, is
@@ -54,9 +59,12 @@ def _psd_violation(m: np.ndarray) -> float | None:
     PSD_TOL * max|h_ii|, accepts without an eigensolve: every h_ii lies in h's
     numerical range, so delta <= PSD_TOL * max|lambda| and the factorization
     proves lambda_min >= floor.  Only when it fails does eigvalsh on h decide
-    and give the residual.
+    and give the residual.  A caller that already holds h = (m + m^dag)/2 as a
+    new C-ordered array passes it, and h is then overwritten.
     """
-    h = (m + m.conj().T) / 2
+    if h is None:
+        h = m + m.conj().T
+        h /= 2
     diag = h.reshape(-1)[:: h.shape[0] + 1]                    # h is new and C-ordered: a view
     diag += PSD_TOL * float(np.abs(diag).max())
     try:
@@ -69,7 +77,7 @@ def _psd_violation(m: np.ndarray) -> float | None:
 
 
 def _as_dims(dims, total: int) -> tuple[int, ...]:
-    dims = (total,) if dims is None else tuple(int(d) for d in dims)
+    dims = (total,) if dims is None else tuple(map(int, dims))
     if any(d < 1 for d in dims):
         raise DomainError(f"factor dimensions must be positive, got {dims}")
     if math.prod(dims) != total:
@@ -108,7 +116,7 @@ class Operator:
     dims: tuple[int, ...]
 
     def __init__(self, mat, dims=None):
-        mat = _frozen(np.asarray(mat, dtype=complex))
+        mat = _frozen(mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DomainError(f"operator must be square, got shape {mat.shape}")
         object.__setattr__(self, "mat", mat)
@@ -131,9 +139,10 @@ class DensityMatrix:
 
     This is the one state check.  A failure raises ValidationError naming the
     first check that fails, in the order hermitian, trace, psd, with its
-    residual: max|M - M^dag|, |tr M - 1| or -lambda_min.  PSD is accepted by a
-    Cholesky factorization (`_psd_violation`); eigvalsh runs only to name a
-    failure.
+    residual: max|M - M^dag|, |tr M - 1| or -lambda_min.  M^dag is formed
+    once, for the Hermitian residual and for the Hermitian part (M + M^dag)/2
+    that the PSD test factors.  PSD is accepted by a Cholesky factorization
+    (`_psd_violation`); eigvalsh runs only to name a failure.
     """
 
     op: Operator
@@ -142,8 +151,10 @@ class DensityMatrix:
         if not isinstance(op, Operator):
             op = Operator(op, dims)
         m = op.mat
-        _check_hermitian(m, unit_trace=True)
-        violation = _psd_violation(m)
+        mh = _check_hermitian(m, unit_trace=True)
+        h = m + mh
+        h /= 2
+        violation = _psd_violation(m, h)
         if violation is not None:
             raise ValidationError("psd", violation)
         object.__setattr__(self, "op", op)
@@ -197,13 +208,21 @@ def kron_ket(a: Ket, b: Ket) -> Ket:
 
 
 def _check_subsystems(dims: tuple[int, ...], subs) -> list[int]:
-    subs = [int(s) for s in (subs if np.iterable(subs) else [subs])]
-    for s in subs:
-        if not 0 <= s < len(dims):
-            raise IndexError(f"subsystem {s} out of range for dims {dims}")
+    """One factor index or an iterable of them, as ints.
+
+    Each index must be a Python or numpy integer (a bool or a float is refused
+    with DomainError) and lie in range (else IndexError); the selection must be
+    nonempty (else IndexError).
+    """
+    subs = list(subs) if np.iterable(subs) else [subs]
     if not subs:
         raise IndexError("empty subsystem selection")
-    return subs
+    for s in subs:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise DomainError(f"subsystem index must be an integer, got {s!r}")
+        if not 0 <= s < len(dims):
+            raise IndexError(f"subsystem {s} out of range for dims {dims}")
+    return [int(s) for s in subs]
 
 
 def partial_trace(m: Operator, keep) -> Operator:
@@ -228,15 +247,30 @@ def partial_trace(m: Operator, keep) -> Operator:
     return Operator(np.einsum(expr, t).reshape(total, total), kept)
 
 
-def partial_transpose(m: Operator, sub: int) -> Operator:
-    """Transpose a single tensor factor, leaving the others untouched."""
+def partial_transpose(m: Operator, sub) -> Operator:
+    """Transpose one tensor factor, or each of a set of distinct factors, leaving the others.
+
+    One axis permutation moves every listed factor at once, with one copy of
+    the entries.  A factor listed twice is refused with DomainError:
+    transposing it twice would silently undo the transpose.
+    """
     dims = m.dims
-    (sub,) = _check_subsystems(dims, [sub])
+    subs = _check_subsystems(dims, sub)
+    if len(set(subs)) < len(subs):
+        raise DomainError(f"subsystem listed more than once in {subs}")
     n = len(dims)
-    t = m.mat.reshape(dims + dims)
     axes = list(range(2 * n))
-    axes[sub], axes[sub + n] = axes[sub + n], axes[sub]
-    return Operator(np.transpose(t, axes).reshape(m.dim, m.dim), dims)
+    for s in subs:
+        axes[s], axes[s + n] = s + n, s
+    mat = m.mat
+    pt = mat.reshape(dims + dims).transpose(axes).reshape(mat.shape)
+    # a permutation of a validated operator's entries is finite and keeps its
+    # dims: freeze the one copy and skip Operator's second copy and scan
+    pt.setflags(write=False)
+    op = object.__new__(Operator)
+    object.__setattr__(op, "mat", pt)
+    object.__setattr__(op, "dims", dims)
+    return op
 
 
 def permute_subsystems(m: Operator, perm) -> Operator:
@@ -253,8 +287,8 @@ def permute_subsystems(m: Operator, perm) -> Operator:
 
 def eig_hermitian(m: Operator) -> tuple[np.ndarray, list[Ket]]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian operator."""
-    _check_hermitian(m.mat)
-    vals, vecs = np.linalg.eigh((m.mat + m.mat.conj().T) / 2)
+    mh = _check_hermitian(m.mat)
+    vals, vecs = np.linalg.eigh((m.mat + mh) / 2)
     return vals, [Ket(vecs[:, i], m.dims) for i in range(m.dim)]
 
 
@@ -297,4 +331,4 @@ def real_trace_product(a: Operator | DensityMatrix, b: Operator | DensityMatrix)
     """tr{a b} for Hermitian factors (imaginary part is numerical noise)."""
     am = a.mat if not isinstance(a, np.ndarray) else a
     bm = b.mat if not isinstance(b, np.ndarray) else b
-    return float(np.real(np.sum(am.T * bm)))
+    return float((am.T * bm).sum().real)

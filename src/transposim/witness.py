@@ -150,11 +150,12 @@ def detect(
     1e-9 band around the threshold, `not-detected` otherwise.  The caveat flag
     marks detections on states whose partial transpose stays positive.
     """
-    if rho.dim != a.state.dim:
+    state = a.state
+    if rho.dim != state.dim:
         raise DomainError(
-            f"state dimension {rho.dim} does not match witness dimension {a.state.dim}"
+            f"state dimension {rho.dim} does not match witness dimension {state.dim}"
         )
-    value = real_trace_product(rho, a.state)
+    value = real_trace_product(rho, state)
     t = a.threshold
     if abs(value - t) <= BOUNDARY_BAND:
         verdict = "boundary"
@@ -164,7 +165,8 @@ def detect(
         verdict = "not-detected"
     subs = a.cut if ppt_subsystems is None else tuple(ppt_subsystems)
     # rho is already a validated state; only its factor dimensions follow the witness
-    ppt_verdict, min_eig = ppt_check(Operator(rho.mat, a.state.dims), subs)
+    op = rho.op if rho.dims == state.dims else Operator(rho.mat, state.dims)
+    ppt_verdict, min_eig = ppt_check(op, subs)
     return CutResult(
         cut=cut_label,
         value=value,
@@ -177,14 +179,18 @@ def detect(
 
 
 def ppt_check(rho: DensityMatrix | Operator, cut) -> tuple[str, float]:
-    """Partial-transpose test across the given subsystems: (NPT|PPT, min eigenvalue)."""
-    subs = [int(s) for s in (cut if np.iterable(cut) else [cut])]
+    """Partial-transpose test across the given subsystems: (NPT|PPT, min eigenvalue).
+
+    One partial transpose moves every factor of the cut; the eigensolve runs
+    on its Hermitian part.
+    """
+    subs = tuple(cut) if np.iterable(cut) else (cut,)
     if not subs:
         raise DomainError("PPT check needs a nonempty subsystem set")
-    m = rho
-    for s in subs:
-        m = partial_transpose(m, s)
-    min_eig = float(np.linalg.eigvalsh((m.mat + m.mat.conj().T) / 2)[0])
+    m = partial_transpose(rho, subs).mat
+    h = m + m.conj().T
+    h /= 2
+    min_eig = float(np.linalg.eigvalsh(h)[0])
     return ("NPT" if min_eig < -NPT_TOL else "PPT"), min_eig
 
 

@@ -126,6 +126,67 @@ def test_partial_transpose_bad_index():
         partial_transpose(Operator(np.eye(4), (2, 2)), 5)
 
 
+def test_partial_transpose_of_a_factor_set_matches_single_factor_calls():
+    m = Operator(random_hermitian(12, 8).mat, (2, 3, 2))
+    sequential = partial_transpose(partial_transpose(m, 0), 2).mat
+    for subs in ([0, 2], (2, 0), np.array([0, 2])):
+        got = partial_transpose(m, subs)
+        assert got.dims == m.dims
+        assert got.mat.tobytes() == sequential.tobytes()
+    full = partial_transpose(m, [0, 1, 2]).mat
+    assert full.tobytes() == m.mat.T.copy().tobytes()
+
+
+def test_partial_transpose_returns_a_frozen_copy():
+    m = Operator(random_hermitian(4, 9).mat, (2, 2))
+    before = m.mat.copy()
+    pt = partial_transpose(m, 1)
+    with pytest.raises(ValueError):
+        pt.mat[0, 0] = 2.0
+    assert not np.shares_memory(pt.mat, m.mat)
+    assert np.array_equal(m.mat, before)
+
+
+@pytest.mark.parametrize("sub", [np.int64(1), np.int32(1), [np.int8(1)], np.array([1])])
+def test_subsystem_indices_accept_numpy_integers(sub):
+    m = Operator(random_hermitian(6, 10).mat, (2, 3))
+    assert np.array_equal(partial_transpose(m, sub).mat, partial_transpose(m, 1).mat)
+    assert np.array_equal(partial_trace(m, sub).mat, partial_trace(m, [1]).mat)
+
+
+@pytest.mark.parametrize(
+    "sub", [True, False, [True], np.bool_(True), 0.5, 1.0, [0, 1.0], np.float64(0.0), "0", None]
+)
+def test_subsystem_indices_refuse_bools_and_non_integers(sub):
+    # int() would have read 0.5 as party 0 and True as party 1
+    m = Operator(np.eye(4), (2, 2))
+    with pytest.raises(DomainError):
+        partial_transpose(m, sub)
+    with pytest.raises(DomainError):
+        partial_trace(m, sub)
+
+
+@pytest.mark.parametrize("sub", [[0, 0], (1, 1), [0, 1, 0], [np.int64(0), 0]])
+def test_partial_transpose_refuses_a_repeated_factor(sub):
+    # transposing a factor twice would silently undo the transpose
+    with pytest.raises(DomainError):
+        partial_transpose(Operator(np.eye(4), (2, 2)), sub)
+
+
+def test_partial_trace_still_deduplicates_its_keep_list():
+    m = Operator(random_hermitian(6, 11).mat, (2, 3))
+    assert np.array_equal(partial_trace(m, [1, 1]).mat, partial_trace(m, [1]).mat)
+
+
+@pytest.mark.parametrize("sub", [-1, 2, [0, 2], [], ()])
+def test_out_of_range_and_empty_subsystems_raise_index_error(sub):
+    m = Operator(np.eye(4), (2, 2))
+    with pytest.raises(IndexError):
+        partial_transpose(m, sub)
+    with pytest.raises(IndexError):
+        partial_trace(m, sub)
+
+
 def test_permute_subsystems_roundtrip():
     m = random_hermitian(8, 7)
     m = Operator(m.mat, (2, 2, 2))
@@ -208,6 +269,34 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.3], [0.1, 0.5]]))  # not Hermitian
     with pytest.raises(DomainError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def hermitian_and_trace_rule(m):
+    """Reference for the first two state checks: (check, residual) of the first failure."""
+    herm = float(np.abs(m - m.conj().T).max())
+    if herm > 1e-10:
+        return "hermitian", herm
+    tr = abs(complex(np.trace(m)) - 1.0)
+    return ("trace", tr) if tr > 1e-10 else None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_density_matrix_residuals_match_the_reference_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    dim = [2, 3, 4, 8, 9, 16, 27, 64][seed]
+    rho = seeded_state(dim, 1 + seed % dim, seed)
+    skew = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    cases = [rho, rho + 1e-9 * skew, rho + 2e-11 * skew, rho * (1 + 1e-9), rho * (1 + 1e-11)]
+    # an anti-Hermitian diagonal inside the Hermitian tolerance moves only Im tr
+    cases.append(rho + 4e-11j * np.eye(dim))
+    for m in cases:
+        expected = hermitian_and_trace_rule(Operator(m).mat)
+        if expected is None:
+            assert DensityMatrix(m).mat.tobytes() == Operator(m).mat.tobytes()
+            continue
+        with pytest.raises(ValidationError) as err:
+            DensityMatrix(m)
+        assert (err.value.check, err.value.residual) == expected
 
 
 def test_operator_rejects_non_finite():

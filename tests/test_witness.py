@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from test_kernels import count_constructions
 
 from transposim import (
     DensityMatrix,
@@ -11,6 +14,7 @@ from transposim import (
     builtin_fiducial,
     detect,
     evaluate_tripartite_example,
+    fiducial_search,
     ghz_ket,
     haar_random_density,
     kron_ket,
@@ -31,7 +35,8 @@ from transposim import (
     transpose_witness,
     tripartite_example_state,
 )
-from transposim.witness import Witness
+from transposim import witness
+from transposim.witness import ApproxWitness, Witness
 
 
 def singlet():
@@ -130,6 +135,7 @@ def test_detect_boundary_werner():
 
 def test_detect_trusts_its_validated_input(monkeypatch):
     # the PPT cross-check is the only eigensolve; rho is not validated again
+    # and, with the witness's dims, not wrapped again either
     g = sic_from_fiducial(builtin_fiducial(2))
     cases = [
         (singlet(), aew(transpose_witness(2))),
@@ -139,9 +145,29 @@ def test_detect_trusts_its_validated_input(monkeypatch):
     for rho, a in cases:
         calls = []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
+        counts = count_constructions(monkeypatch)
         detect(rho, a)
         monkeypatch.undo()
         assert calls == [(rho.dim, rho.dim)]
+        assert counts == {"Ket": 0, "Operator": 0}
+
+
+def test_detect_rewraps_only_a_state_with_other_factor_dims(monkeypatch):
+    rho, a = DensityMatrix(singlet().mat), aew(transpose_witness(2))  # rho: one factor of dim 4
+    counts = count_constructions(monkeypatch)
+    res = detect(rho, a)
+    assert counts == {"Ket": 0, "Operator": 1}
+    assert (res.ppt, res.min_pt_eigenvalue) == ppt_check(singlet(), [0])
+
+
+def test_ppt_check_transposes_a_factor_set_once(monkeypatch):
+    calls = []
+    real = witness.partial_transpose
+    monkeypatch.setattr(witness, "partial_transpose", lambda m, s: calls.append(s) or real(m, s))
+    rho = tripartite_example_state()
+    ppt_check(rho, (0, 1))
+    ppt_check(rho, 2)
+    assert len(calls) == 2
 
 
 def test_detect_dimension_guard():
@@ -322,6 +348,97 @@ def test_ppt_check_basics():
     assert ppt_check(product_00(), [0])[0] == "PPT"
     with pytest.raises(DomainError):
         ppt_check(singlet(), [])
+
+
+def test_ppt_check_refuses_repeated_and_non_integer_subsystems():
+    rho = DensityMatrix(np.eye(4) / 4, dims=(2, 2))
+    # [0, 0] used to transpose party 0 twice and report rho's own spectrum as PPT
+    for cut in ([0, 0], 0.5, True, [1.0], "0"):
+        with pytest.raises(DomainError):
+            ppt_check(rho, cut)
+    for cut in (2, [-1], [0, 2]):
+        with pytest.raises(IndexError):
+            ppt_check(rho, cut)
+    assert ppt_check(singlet(), np.int64(1)) == ppt_check(singlet(), 1)
+    assert ppt_check(singlet(), [np.int32(0)]) == ppt_check(singlet(), [0])
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def ref_partial_transpose(m, dims, sub):
+    n = len(dims)
+    return m.reshape(dims + dims).swapaxes(sub, sub + n).reshape(m.shape)
+
+
+def ref_detect(rho, a, subs):
+    """The detection path written out: value, threshold rule, then the PPT test
+    by sequential single-factor transposes, (m + m^dag)/2 and eigvalsh."""
+    value = float(np.real(np.sum(rho.mat.T * a.state.mat)))
+    t = a.threshold
+    if abs(value - t) <= 1e-9:
+        verdict = "boundary"
+    else:
+        verdict = "detected" if value < t else "not-detected"
+    m = rho.mat
+    for s in subs:
+        m = ref_partial_transpose(m, a.state.dims, s)
+    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+    ppt = "NPT" if min_eig < -1e-9 else "PPT"
+    return bits(value), verdict, ppt, bits(min_eig), verdict == "detected" and ppt == "PPT"
+
+
+@functools.lru_cache(maxsize=None)
+def parity_witnesses(dims):
+    if len(dims) == 2:
+        return (aew(transpose_witness(dims[0])),)
+    d = dims[0]
+    f = builtin_fiducial(2) if d == 2 else fiducial_search(d, seed=7)
+    g = sic_from_fiducial(f)
+    return tuple(multipartite_aew(3, d, c, g) for c in range(3))
+
+
+def seeded_state(dims, rank, seed):
+    rng = np.random.default_rng(seed)
+    big_d = int(np.prod(dims))
+    a = rng.standard_normal((big_d, rank)) + 1j * rng.standard_normal((big_d, rank))
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / np.trace(rho).real, dims=dims)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2), (4, 4, 4)])
+def test_detection_matches_sequential_transposes_bit_for_bit(dims):
+    wits = parity_witnesses(dims)
+    factor_sets = [(0, 1)] if len(dims) == 2 else [(0, 1), (0, 2)]
+    seen = set()
+    big_d = int(np.prod(dims))
+    states = [seeded_state(dims, rank, 1000 * big_d + rank) for rank in range(1, big_d + 1)]
+    # white noise makes the last ones PPT across every cut
+    states += [DensityMatrix(0.05 * states[-1].mat + 0.95 * np.eye(big_d) / big_d, dims=dims),
+               DensityMatrix(np.eye(big_d) / big_d, dims=dims)]
+    for rank, rho in enumerate(states, start=1):
+        runs = [(a, a.cut) for a in wits] + [(wits[0], (s,)) for s in range(len(dims))]
+        runs += [(wits[0], subs) for subs in factor_sets]
+        for a, subs in runs:
+            r = detect(rho, a, ppt_subsystems=subs)
+            got = (bits(r.value), r.verdict, r.ppt, bits(r.min_pt_eigenvalue), r.caveat)
+            assert got == ref_detect(rho, a, subs), (rank, subs)
+            seen.add(r.ppt)
+    assert seen == {"NPT", "PPT"}
+
+
+def test_detection_parity_reaches_every_verdict():
+    # a witness state whose threshold sits on tr{rho rho_W} of the maximally mixed state
+    mixed = DensityMatrix(np.eye(4) / 4, dims=(2, 2))
+    a = aew(transpose_witness(2))
+    on_band = ApproxWitness(state=a.state, p_min=a.p_min, threshold=0.25, cut=(0,))
+    for w, rho, verdict in ((a, singlet(), "detected"), (a, product_00(), "not-detected"),
+                            (on_band, mixed, "boundary")):
+        r = detect(rho, w)
+        assert r.verdict == verdict
+        assert (bits(r.value), r.verdict, r.ppt, bits(r.min_pt_eigenvalue), r.caveat) == \
+            ref_detect(rho, w, w.cut)
 
 
 def test_report_serialization():
