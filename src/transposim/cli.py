@@ -12,25 +12,6 @@ import math
 import string
 import sys
 
-import numpy as np
-
-from . import acceptance
-from .channels import (
-    apply_channel,
-    approx_transpose,
-    cj_distance,
-    measure_prepare_from_design,
-)
-from .designs import (
-    builtin_fiducial,
-    design_matrix,
-    fiducial_search,
-    load_fiducial,
-    mub_prime,
-    orbit_certificate,
-    save_fiducial,
-    sic_from_fiducial,
-)
 from .errors import (
     CalibrationError,
     ConventionMismatch,
@@ -39,18 +20,10 @@ from .errors import (
     ParseError,
     SearchFailed,
 )
-from .estimator import detect_with_confidence, estimator_to_dict
-from .fileio import _pairs, parse_state_file, save_state, state_to_dict, write_json
-from .linalg import DensityMatrix
-from .optics import build_fig2_pipeline, output_channel
-from .twostep import two_step_channel
-from .witness import (
-    DetectionReport,
-    detect,
-    evaluate_tripartite_example,
-    multipartite_aew,
-    report_to_dict,
-)
+
+# Each command imports the modules it runs where it first needs them, so a
+# start loads only those: `--help` and a usage error load no numpy, and
+# `detect` refuses a malformed state file before it loads the witnesses.
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -61,17 +34,21 @@ MAX_VERIFY_DIM = 8
 
 
 def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for any randomized step")
     p.add_argument("--tolerance", type=_tolerance, default=1e-10, help="pass/fail tolerance")
     p.add_argument("--json", metavar="PATH", default=None, help="write a JSON report here")
 
 
 def _emit(args, doc: dict) -> None:
     if args.json:
+        from .fileio import write_json
+
         write_json(doc, args.json)
 
 
 def _fiducial_for(dim: int, path: str | None):
+    from .designs import builtin_fiducial, load_fiducial
+
     if path:
         f = load_fiducial(path)
         if f.d != dim:
@@ -81,6 +58,10 @@ def _fiducial_for(dim: int, path: str | None):
 
 
 def cmd_verify_design(args) -> int:
+    import numpy as np
+
+    from .designs import design_matrix, mub_prime, sic_from_fiducial
+
     if args.kind == "mub":
         design = mub_prime(args.dim)
     else:
@@ -119,6 +100,9 @@ def cmd_verify_design(args) -> int:
 
 
 def cmd_search_fiducial(args) -> int:
+    from .designs import fiducial_search, orbit_certificate, save_fiducial
+    from .fileio import _pairs
+
     f = fiducial_search(args.dim, seed=args.seed, max_iters=args.max_iters)
     excess, dev = orbit_certificate(f)
     print(f"dimension       : {args.dim}")
@@ -138,20 +122,33 @@ _VIAS = ("formula", "design", "two-step", "optics")
 
 def _build_via(via: str, d: int, f):
     if via == "formula":
+        from .channels import approx_transpose
+
         return approx_transpose(d)
     if via == "design":
+        from .channels import measure_prepare_from_design
+        from .designs import sic_from_fiducial
+
         return measure_prepare_from_design(sic_from_fiducial(f))[1]
     if via == "two-step":
+        from .twostep import two_step_channel
+
         return two_step_channel(f)
+    from .optics import build_fig2_pipeline, output_channel
+
     return output_channel(build_fig2_pipeline(f))  # optics: offered for d = 2 only
 
 
 def cmd_apply(args) -> int:
+    from .fileio import parse_state_file, save_state, state_to_dict
+
     rho = parse_state_file(args.state)
     d = rho.dim
     if args.fiducial:
         f = _fiducial_for(d, args.fiducial)
     else:
+        from .designs import builtin_fiducial
+
         try:
             f = builtin_fiducial(d)
         except DomainError:  # no built-in fiducial for d: the formula alone remains
@@ -162,6 +159,9 @@ def cmd_apply(args) -> int:
     if args.via not in vias:
         print(f"error: --via {args.via} is not available in dimension {d}", file=sys.stderr)
         return USAGE_ERROR
+    from .channels import apply_channel, cj_distance
+    from .linalg import DensityMatrix
+
     channels = {v: _build_via(v, d, f) for v in vias}
     distances = {}
     worst = 0.0
@@ -213,6 +213,8 @@ def _parse_cut(spec: str, n: int) -> tuple[int, str]:
 
 
 def cmd_detect(args) -> int:
+    from .fileio import parse_state_file
+
     rho = parse_state_file(args.state)
     dims = rho.dims
     if len(dims) < 2:
@@ -223,6 +225,9 @@ def cmd_detect(args) -> int:
         return USAGE_ERROR
     d = dims[0]
     cut_index, label = _parse_cut(args.cut, len(dims))
+    from .designs import sic_from_fiducial
+    from .witness import DetectionReport, detect, multipartite_aew, report_to_dict
+
     g = sic_from_fiducial(_fiducial_for(d, args.fiducial))
     a = multipartite_aew(len(dims), d, cut_index, g)
     res = detect(rho, a, cut_label=label)
@@ -236,6 +241,8 @@ def cmd_detect(args) -> int:
     print(f"ppt oracle      : {res.ppt}")
     estimator = None
     if args.shots is not None:
+        from .estimator import detect_with_confidence, estimator_to_dict
+
         ver = detect_with_confidence(rho, a, shots=args.shots, seed=args.seed, level=args.confidence)
         print(f"shots           : {args.shots}")
         print(f"estimate        : {ver.shot_result.estimate:.6g}")
@@ -250,6 +257,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_tripartite_demo(args) -> int:
+    from .witness import evaluate_tripartite_example, report_to_dict
+
     rep = evaluate_tripartite_example()
     print(f"{'cut':<8}{'value':>14}{'threshold':>14}  {'verdict':<14}{'ppt':<6}")
     for c in rep.cuts:
@@ -263,6 +272,8 @@ def cmd_tripartite_demo(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from . import acceptance
+
     results = acceptance.run_all(max_dim=args.max_dim)
     for r in results:
         print(acceptance.format_result(r))
@@ -283,14 +294,23 @@ def cmd_verify_all(args) -> int:
 
 # argparse types: a bad value is refused before any command starts its work
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _seed(text: str) -> int:
+    # numpy refuses a negative seed, so it is a usage error here
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _float_arg(text: str) -> float:

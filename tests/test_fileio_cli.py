@@ -21,7 +21,7 @@ from transposim import (
     save_fiducial,
     save_state,
 )
-from transposim import acceptance, cli, designs
+from transposim import acceptance, designs
 from transposim.cli import main
 
 
@@ -314,7 +314,8 @@ def test_cli_apply_loads_the_fiducial_once(tmp_path, monkeypatch):
     state = tmp_path / "q2.json"
     save_state(DensityMatrix(np.eye(2) / 2), str(state))
     paths = []
-    monkeypatch.setattr(cli, "load_fiducial", lambda p: paths.append(p) or load_fiducial(p))
+    # the CLI imports load_fiducial from designs when it reads a fiducial file
+    monkeypatch.setattr(designs, "load_fiducial", lambda p: paths.append(p) or load_fiducial(p))
     fid = qubit_fiducial_file(tmp_path)
     argv = ["apply-approx-transpose", "--state", str(state), "--via", "optics", "--fiducial", fid]
     assert main(argv) == 0
@@ -413,6 +414,16 @@ def test_cli_detect_refuses_confidence_outside_0_1_before_printing(tmp_path, cap
 def test_cli_search_fiducial_refuses_max_iters_below_one(capsys, max_iters):
     argv = ["search-fiducial", "--dim", "2", "--max-iters", max_iters]
     assert_refused_before_printing(argv, "--max-iters", capsys)
+
+
+@pytest.mark.parametrize("command", ["search-fiducial", "detect"])
+def test_cli_refuses_a_negative_seed_before_printing(tmp_path, capsys, command):
+    # numpy raises ValueError on a negative seed, so the parser must refuse it first
+    argv = {
+        "search-fiducial": ["search-fiducial", "--dim", "3"],
+        "detect": ["detect", "--state", singlet_file(tmp_path), "--cut", "A|B", "--shots", "100"],
+    }[command]
+    assert_refused_before_printing(argv + ["--seed", "-1"], "--seed", capsys)
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "-1e-10", "0", "inf"])
