@@ -35,9 +35,7 @@ _EXPORTS = {
     "designs": (
         "Design",
         "Fiducial",
-        "WeylPair",
         "builtin_fiducial",
-        "design_matrix",
         "fiducial_search",
         "frame_potential",
         "hw_orbit",
@@ -50,9 +48,6 @@ _EXPORTS = {
         "save_fiducial",
         "sic_from_fiducial",
         "two_design_frame_potential",
-        "verify_coherent",
-        "verify_two_design",
-        "weyl_pair",
     ),
     "errors": (
         "CalibrationError",
@@ -79,7 +74,6 @@ _EXPORTS = {
         "Ket",
         "Operator",
         "basis_ket",
-        "eig_hermitian",
         "haar_random_density",
         "haar_random_ket",
         "identity",

@@ -126,13 +126,14 @@ def criterion_04_two_step(max_dim: int = 5) -> CriterionResult:
     for d in (2, 3):
         ts = build_two_step(builtin_fiducial(d))
         for k in range(d):
+            a = np.diag(ts.kraus_diagonals[k])
             for l in range(d):
-                prod = ts.first_kraus[k].mat.conj().T @ ts.second_effects[l].mat @ ts.first_kraus[k].mat
+                prod = a.conj().T @ ts.fourier_effects[l] @ a
                 worst_prod = max(
                     worst_prod,
-                    float(np.linalg.norm(ts.assembled[k * d + l].mat - prod)),
+                    float(np.linalg.norm(ts.assembled_stack[k * d + l] - prod)),
                 )
-        total = sum(m.mat for m in ts.assembled)
+        total = sum(ts.assembled_stack)
         worst_sum = max(worst_sum, float(np.linalg.norm(total - np.eye(d))))
     return _result(
         4,

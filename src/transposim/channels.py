@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .designs import COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap
 from .errors import DomainError, NotTracePreserving, ParseError
 from .fileio import _integer, _matrix, _pairs, _read_json, write_json
-from .linalg import DensityMatrix, Ket, Operator, _psd_violation, _stack, swap_operator
+from .linalg import DensityMatrix, Ket, Operator, _check_index, _frozen, _psd_violation, swap_operator
 
 CJ_TOL = 1e-10
 
@@ -52,30 +51,20 @@ class Channel:
         return apply_channel(self, m)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MeasurePrepare:
     """A measure-and-prepare pair: POM effects and the states prepared per outcome.
 
-    Built from `Operator`/`Ket` sequences or from arrays, and held as the
-    read-only stacks `effect_stack` (N, d, d) and `preparation_stack` (N, d);
-    the `effects` and `preparations` tuples are derived on first read and
-    carry dims (d,).
+    Held as read-only copies of the stacks `effect_stack` (N, d, d) and
+    `preparation_stack` (N, d).
     """
 
     effect_stack: np.ndarray
     preparation_stack: np.ndarray
 
-    def __init__(self, effects, preparations):
-        object.__setattr__(self, "effect_stack", _stack(effects, "mat"))
-        object.__setattr__(self, "preparation_stack", _stack(preparations, "vec"))
-
-    @cached_property
-    def effects(self) -> tuple[Operator, ...]:
-        return tuple(Operator(e) for e in self.effect_stack)
-
-    @cached_property
-    def preparations(self) -> tuple[Ket, ...]:
-        return tuple(Ket(p) for p in self.preparation_stack)
+    def __post_init__(self):
+        object.__setattr__(self, "effect_stack", _frozen(self.effect_stack))
+        object.__setattr__(self, "preparation_stack", _frozen(self.preparation_stack))
 
 
 def _channel(cj: np.ndarray, d: int, expect_cptp: bool = True) -> Channel:
@@ -159,8 +148,7 @@ def kraus_ops(e: Channel, tol: float = 1e-12) -> list[np.ndarray]:
 def apply_to_factor(e: Channel, rho: DensityMatrix, factor: int) -> DensityMatrix:
     """Apply the channel to one tensor factor of a multipartite state."""
     dims = rho.dims
-    if not 0 <= factor < len(dims):
-        raise IndexError(f"factor {factor} out of range for dims {dims}")
+    factor = _check_index(factor, dims)
     if dims[factor] != e.d_in:
         raise DomainError(f"factor {factor} has dimension {dims[factor]}, channel expects {e.d_in}")
     left = math.prod(dims[:factor])

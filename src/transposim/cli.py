@@ -60,7 +60,7 @@ def _fiducial_for(dim: int, path: str | None):
 def cmd_verify_design(args) -> int:
     import numpy as np
 
-    from .designs import design_matrix, mub_prime, sic_from_fiducial
+    from .designs import mub_prime, sic_from_fiducial
 
     if args.kind == "mub":
         design = mub_prime(args.dim)
@@ -73,8 +73,7 @@ def cmd_verify_design(args) -> int:
     # measurement weights must be d/N for completeness; the uniform 1/N weights
     # sometimes quoted for these families leave the effects summing to I/d
     d, n = design.d, design.n
-    arr = design_matrix(design)
-    uniform_sum = sum(np.outer(v, v.conj()) for v in arr) / n
+    uniform_sum = sum(np.outer(v, v.conj()) for v in design.vector_stack) / n
     uniform_residual = float(np.linalg.norm(uniform_sum - np.eye(d)))
     print(f"kind            : {design.kind}")
     print(f"dimension       : {design.d}")

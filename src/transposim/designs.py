@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NotPrimeError, NotSICError, ParseError, SearchFailed, ValidationError
 from .fileio import _integer, _pairs, _read_json, _vector, write_json
-from .linalg import Ket, Operator, _frozen, _stack
+from .linalg import Ket, _frozen
 
 TWO_DESIGN_TOL = 1e-10
 COHERENCE_TOL = 1e-10
@@ -30,16 +29,6 @@ MAX_DIM = 64
 def _refuse_oversized(d: int, what: str) -> None:
     if d > MAX_DIM:
         raise DomainError(f"{what} is limited to dimension <= {MAX_DIM}, got {d}")
-
-
-@dataclass(frozen=True)
-class WeylPair:
-    """Generalized Pauli pair: cyclic shift x and clock z with zx = omega xz."""
-
-    d: int
-    x: Operator
-    z: Operator
-    omega: complex
 
 
 @dataclass(frozen=True)
@@ -58,13 +47,11 @@ class Fiducial:
         return self.ket.vec
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Design:
     """Unit vectors with the residuals `make_design` verified when it built them.
 
-    The vectors are held once, as the read-only (N, d) `vector_stack`; the
-    `vectors` tuple of `Ket`s is derived from it on first read, each with
-    dims (d,): tensor-factor dims of the input vectors are not kept.
+    The vectors are held once, as a read-only copy of the (N, d) `vector_stack`.
     """
 
     d: int
@@ -73,38 +60,12 @@ class Design:
     two_design_residual: float
     coherence_residual: float
 
-    def __init__(self, d: int, vectors, kind: str, two_design_residual: float,
-                 coherence_residual: float):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "vector_stack", _stack(vectors, "vec"))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "two_design_residual", two_design_residual)
-        object.__setattr__(self, "coherence_residual", coherence_residual)
-
-    @cached_property
-    def vectors(self) -> tuple[Ket, ...]:
-        return tuple(Ket(v) for v in self.vector_stack)
+    def __post_init__(self):
+        object.__setattr__(self, "vector_stack", _frozen(self.vector_stack))
 
     @property
     def n(self) -> int:
         return len(self.vector_stack)
-
-
-def weyl_pair(d: int) -> WeylPair:
-    """Shift and clock operators: X|n> = |n+1 mod d>, Z|n> = omega^n |n>."""
-    if d < 2:
-        raise DomainError(f"Weyl pair needs dimension >= 2, got {d}")
-    omega = np.exp(2j * np.pi / d)
-    x = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        x[(n + 1) % d, n] = 1.0
-    z = np.diag(omega ** np.arange(d))
-    return WeylPair(d, Operator(x), Operator(z), complex(omega))
-
-
-def design_matrix(g: Design) -> np.ndarray:
-    """The design vectors as a read-only (N, d) array."""
-    return g.vector_stack
 
 
 def _pair_projector_sum(vectors: np.ndarray) -> np.ndarray:
@@ -147,7 +108,7 @@ def make_design(vectors, kind: str = "custom") -> Design:
         # the first vector of another dimension ends the batch; a norm failure
         # before it is reported first, as a vector-by-vector scan would
         n_same = next((i for i, k in enumerate(kets) if k.dim != d), n)
-        arr = _stack(kets[:n_same], "vec")
+        arr = _frozen([k.vec for k in kets[:n_same]])
     if not n:
         raise DomainError("a design needs at least one vector")
     _refuse_oversized(d, "a design")
@@ -167,19 +128,9 @@ def make_design(vectors, kind: str = "custom") -> Design:
     return Design(d, arr, kind, res2, resc)
 
 
-def verify_two_design(g: Design) -> float:
-    """Frobenius residual against 2 P_sym / (d(d+1)); passes below 1e-10."""
-    return two_design_residual(design_matrix(g), g.d)
-
-
-def verify_coherent(g: Design) -> float:
-    """Frobenius residual of sum_k |x_k><x_k| against (N/d) * identity."""
-    return coherence_residual(design_matrix(g), g.d)
-
-
 def frame_potential(g: Design) -> float:
     """sum_{j,k} |<x_j|x_k>|^4, including the diagonal terms."""
-    gram = design_matrix(g) @ design_matrix(g).conj().T
+    gram = g.vector_stack @ g.vector_stack.conj().T
     return float(np.sum(np.abs(gram) ** 4))
 
 

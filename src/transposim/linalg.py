@@ -30,11 +30,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stack(items, attr: str) -> np.ndarray:
-    """One frozen copy of an ndarray or of a sequence of Ket ("vec") / Operator ("mat")."""
-    return _frozen(items if isinstance(items, np.ndarray) else [getattr(x, attr) for x in items])
-
-
 def _check_hermitian(m: np.ndarray, unit_trace: bool = False) -> np.ndarray:
     """Raise ValidationError("hermitian" | "trace", residual) past the tolerances.
 
@@ -126,12 +121,6 @@ class Operator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def dag(self) -> "Operator":
-        return Operator(self.mat.conj().T, self.dims)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -207,22 +196,28 @@ def kron_ket(a: Ket, b: Ket) -> Ket:
     return Ket(np.kron(a.vec, b.vec), a.dims + b.dims)
 
 
-def _check_subsystems(dims: tuple[int, ...], subs) -> list[int]:
-    """One factor index or an iterable of them, as ints.
+def _check_index(s, dims: tuple[int, ...]) -> int:
+    """A factor index of `dims` as an int.
 
-    Each index must be a Python or numpy integer (a bool or a float is refused
-    with DomainError) and lie in range (else IndexError); the selection must be
-    nonempty (else IndexError).
+    It must be a Python or numpy integer (a bool or a float is refused with
+    DomainError) and lie in range (else IndexError).
+    """
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+        raise DomainError(f"subsystem index must be an integer, got {s!r}")
+    if not 0 <= s < len(dims):
+        raise IndexError(f"subsystem {s} out of range for dims {dims}")
+    return int(s)
+
+
+def _check_subsystems(dims: tuple[int, ...], subs) -> list[int]:
+    """One factor index or an iterable of them, each checked by `_check_index`.
+
+    The selection must be nonempty (else IndexError).
     """
     subs = list(subs) if np.iterable(subs) else [subs]
     if not subs:
         raise IndexError("empty subsystem selection")
-    for s in subs:
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-            raise DomainError(f"subsystem index must be an integer, got {s!r}")
-        if not 0 <= s < len(dims):
-            raise IndexError(f"subsystem {s} out of range for dims {dims}")
-    return [int(s) for s in subs]
+    return [_check_index(s, dims) for s in subs]
 
 
 def partial_trace(m: Operator, keep) -> Operator:
@@ -276,20 +271,13 @@ def partial_transpose(m: Operator, sub) -> Operator:
 def permute_subsystems(m: Operator, perm) -> Operator:
     """Reorder tensor factors; new position p holds the old factor perm[p]."""
     dims = m.dims
-    perm = [int(p) for p in perm]
+    perm = [_check_index(p, dims) for p in perm]
     if sorted(perm) != list(range(len(dims))):
         raise IndexError(f"{perm} is not a permutation of {len(dims)} factors")
     n = len(dims)
     t = m.mat.reshape(dims + dims)
     t = np.transpose(t, perm + [p + n for p in perm])
     return Operator(t.reshape(m.dim, m.dim), tuple(dims[p] for p in perm))
-
-
-def eig_hermitian(m: Operator) -> tuple[np.ndarray, list[Ket]]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian operator."""
-    mh = _check_hermitian(m.mat)
-    vals, vecs = np.linalg.eigh((m.mat + mh) / 2)
-    return vals, [Ket(vecs[:, i], m.dims) for i in range(m.dim)]
 
 
 def haar_random_ket(d: int, seed: int, dims=None) -> Ket:
@@ -320,11 +308,6 @@ def phase_free_distance(u: Ket | np.ndarray, v: Ket | np.ndarray) -> float:
     ip = np.vdot(u, v)
     phase = 1.0 if abs(ip) < 1e-300 else ip.conjugate() / abs(ip)
     return float(np.linalg.norm(u - phase * v))
-
-
-def frobenius(a: np.ndarray | Operator) -> float:
-    a = a.mat if isinstance(a, Operator) else a
-    return float(np.linalg.norm(a))
 
 
 def real_trace_product(a: Operator | DensityMatrix, b: Operator | DensityMatrix) -> float:

@@ -11,14 +11,13 @@ retrodicted path state, and a 4-to-1 coupler combines the paths incoherently
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .channels import Channel, MeasurePrepare, _measure_and_prepare, channel_from_measure_prepare
 from .designs import Fiducial
 from .errors import CalibrationError, DomainError
-from .linalg import DensityMatrix, Ket, Operator, _stack, phase_free_distance
+from .linalg import DensityMatrix, Ket, Operator, _frozen, phase_free_distance
 from .twostep import build_two_step
 
 PHASE_TOL = 1e-10
@@ -86,15 +85,14 @@ def element_matrix(e: OpticalElement) -> Operator:
     raise DomainError(f"unknown optical element kind {e.kind!r}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Fig2Pipeline:
     """PPBS -> per-arm HWP -> per-arm PBS -> per-path PS -> 4-to-1 coupler.
 
     Path p = 2k + l carries the effect |s_{k,l}><s_{k,l}| / 2; the transmission
     arm is k = 0.  The path effects and the prepared (conjugated) states are
-    held as the read-only stacks `effect_stack` (4, 2, 2) and `prepared_stack`
-    (4, 2); the `effects` and `prepared_states` tuples are derived on first
-    read with dims (2,), and the constructor takes either form.
+    held as read-only copies of the stacks `effect_stack` (4, 2, 2) and
+    `prepared_stack` (4, 2).
     """
 
     fiducial: Fiducial
@@ -105,23 +103,9 @@ class Fig2Pipeline:
     prepared_stack: np.ndarray
     solved_phases: tuple[float, ...]
 
-    def __init__(self, fiducial: Fiducial, elements, arm_kraus, effects, analyzer_states,
-                 prepared_states, solved_phases):
-        object.__setattr__(self, "fiducial", fiducial)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "arm_kraus", arm_kraus)
-        object.__setattr__(self, "effect_stack", _stack(effects, "mat"))
-        object.__setattr__(self, "analyzer_states", analyzer_states)
-        object.__setattr__(self, "prepared_stack", _stack(prepared_states, "vec"))
-        object.__setattr__(self, "solved_phases", solved_phases)
-
-    @cached_property
-    def effects(self) -> tuple[Operator, ...]:
-        return tuple(Operator(m) for m in self.effect_stack)
-
-    @cached_property
-    def prepared_states(self) -> tuple[Ket, ...]:
-        return tuple(Ket(v) for v in self.prepared_stack)
+    def __post_init__(self):
+        object.__setattr__(self, "effect_stack", _frozen(self.effect_stack))
+        object.__setattr__(self, "prepared_stack", _frozen(self.prepared_stack))
 
 
 def _solve_conjugation_phase(s: np.ndarray) -> float:
@@ -160,10 +144,10 @@ def build_fig2_pipeline(f: Fiducial) -> Fig2Pipeline:
     return Fig2Pipeline(
         fiducial=f,
         elements=tuple(elements),
-        arm_kraus=(ts.first_kraus[0], ts.first_kraus[1]),
-        effects=ts.assembled_stack,
+        arm_kraus=tuple(Operator(np.diag(a)) for a in ts.kraus_diagonals),
+        effect_stack=ts.assembled_stack,
         analyzer_states=tuple(analyzer),
-        prepared_states=np.array(prepared),
+        prepared_stack=np.array(prepared),
         solved_phases=tuple(phases),
     )
 

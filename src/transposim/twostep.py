@@ -20,22 +20,20 @@ import numpy as np
 from .channels import MeasurePrepare, _measure_and_prepare, channel_from_measure_prepare
 from .designs import Fiducial, _sic_orbit, _weyl_orbit, hw_orbit
 from .errors import ConventionMismatch, DomainError
-from .linalg import DensityMatrix, Operator, _frozen, _stack, phase_free_distance
+from .linalg import DensityMatrix, Operator, _frozen, phase_free_distance
 
 ASSEMBLY_TOL = 1e-10
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TwoStepMeasurement:
     """The two measurement steps and their assembled effects, held as read-only stacks.
 
     `kraus_diagonals` (d, d) holds the diagonal of A_k in row k,
     `fourier_effects` (d, d, d) the projectors B_l and `assembled_stack`
-    (d^2, d, d) the effects A_k^dag B_l A_k at index k*d + l.  The
-    `first_kraus`, `second_effects` and `assembled` tuples of `Operator`s are
-    derived on first read and carry dims (d,).  The constructor takes either
-    form: `first_kraus` is a sequence of diagonal `Operator`s or the (d, d)
-    array of their diagonals.  A stack of another shape raises DomainError.
+    (d^2, d, d) the effects A_k^dag B_l A_k at index k*d + l; each is held as
+    a read-only copy, and a stack of another shape raises DomainError.  The
+    `assembled` tuple of `Operator`s is derived on first read, with dims (d,).
     """
 
     d: int
@@ -46,36 +44,14 @@ class TwoStepMeasurement:
     convention: str
     orbit: np.ndarray  # (d^2, d) read-only orbit vectors, index k*d + l
 
-    def __init__(self, d: int, fiducial: Fiducial, first_kraus, second_effects, assembled,
-                 convention: str, orbit: np.ndarray):
-        if isinstance(first_kraus, np.ndarray):
-            diag = _frozen(first_kraus)
-        else:
-            mats = _stack(first_kraus, "mat")
-            diag = _frozen(np.diagonal(mats, axis1=1, axis2=2))
-            if np.count_nonzero(mats) != np.count_nonzero(diag):
-                raise DomainError("the first-step Kraus operators must be diagonal")
-        stacks = {
-            "kraus_diagonals": (diag, (d, d)),
-            "fourier_effects": (_stack(second_effects, "mat"), (d, d, d)),
-            "assembled_stack": (_stack(assembled, "mat"), (d * d, d, d)),
-        }
-        for name, (arr, shape) in stacks.items():
+    def __post_init__(self):
+        d = self.d
+        for name, shape in (("kraus_diagonals", (d, d)), ("fourier_effects", (d, d, d)),
+                            ("assembled_stack", (d * d, d, d))):
+            arr = _frozen(getattr(self, name))
             if arr.shape != shape:
                 raise DomainError(f"{name} of shape {arr.shape}, expected {shape}")
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "fiducial", fiducial)
-        object.__setattr__(self, "convention", convention)
-        object.__setattr__(self, "orbit", orbit)
-
-    @cached_property
-    def first_kraus(self) -> tuple[Operator, ...]:
-        return tuple(Operator(np.diag(a)) for a in self.kraus_diagonals)
-
-    @cached_property
-    def second_effects(self) -> tuple[Operator, ...]:
-        return tuple(Operator(b) for b in self.fourier_effects)
 
     @cached_property
     def assembled(self) -> tuple[Operator, ...]:

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import apply_to_factor, approx_transpose
-from .designs import COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap, design_matrix
+from .designs import COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap
 from .errors import DomainError
 from .linalg import (
     DensityMatrix,
     Ket,
     Operator,
     _check_hermitian,
+    _check_index,
     partial_transpose,
     permute_subsystems,
     real_trace_product,
@@ -206,8 +207,7 @@ def separable_decomposition_of_transpose_aew(g: Design) -> SeparableDecompositio
             f"design fails the required checks (two-design {res2:.3e}, coherence {resc:.3e})"
         )
     d, n = g.d, g.n
-    arr = design_matrix(g)
-    factors = tuple(DensityMatrix(np.outer(v, v.conj())) for v in arr)
+    factors = tuple(DensityMatrix(np.outer(v, v.conj())) for v in g.vector_stack)
     dec = SeparableDecomposition(np.full(n, 1.0 / n), factors, factors)
     resid = float(np.linalg.norm(dec.reconstruct().mat - _identity_plus_swap(d)))
     if resid >= TWO_DESIGN_TOL:
@@ -259,11 +259,11 @@ def multipartite_closed_forms(
     """
     if g.d != d or g.n != d * d:
         raise DomainError(f"need a SIC design with d^2 = {d * d} vectors in dimension {d}")
-    arr = design_matrix(g)
     dims = (d,) * n
+    cut = _check_index(cut, dims)
     out = []
     for conj_cut in (False, True):
-        total = sum(_closed_form_term(s, n, d, conj_cut) for s in arr) / (d * d)
+        total = sum(_closed_form_term(s, n, d, conj_cut) for s in g.vector_stack) / (d * d)
         op = Operator(total, (d,) + (d,) * (n - 1))
         cur = [cut] + [i for i in range(n) if i != cut]
         op = permute_subsystems(op, [cur.index(q) for q in range(n)])
@@ -282,8 +282,10 @@ def multipartite_aew(n: int, d: int, cut: int, g: Design) -> ApproxWitness:
     """
     if n < 2:
         raise DomainError(f"need at least two parties, got {n}")
-    if not 0 <= cut < n:
-        raise DomainError(f"cut index {cut} out of range for {n} parties")
+    try:
+        cut = _check_index(cut, (d,) * n)
+    except IndexError:
+        raise DomainError(f"cut index {cut} out of range for {n} parties") from None
     ghz = ghz_ket(n, d)
     ghz_dm = DensityMatrix(np.outer(ghz.vec, ghz.vec.conj()), dims=(d,) * n)
     state = apply_to_factor(approx_transpose(d), ghz_dm, cut)

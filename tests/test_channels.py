@@ -8,6 +8,7 @@ from transposim import (
     Operator,
     ParseError,
     apply_channel,
+    apply_to_factor,
     approx_transpose,
     basis_ket,
     builtin_fiducial,
@@ -180,25 +181,46 @@ def test_kraus_rejects_unphysical():
         kraus_ops(transpose_map(2))
 
 
+@pytest.mark.parametrize("factor", [1.0, True, np.float64(1.0), "1", None, [1]])
+def test_apply_to_factor_refuses_a_non_integer_factor(factor):
+    # 1.0 ended in a TypeError and True was read as factor 1
+    rho = haar_random_density(4, 3, dims=(2, 2))
+    with pytest.raises(DomainError):
+        apply_to_factor(approx_transpose(2), rho, factor)
+
+
+@pytest.mark.parametrize("factor", [-1, 2])
+def test_apply_to_factor_refuses_an_out_of_range_factor(factor):
+    rho = haar_random_density(4, 3, dims=(2, 2))
+    with pytest.raises(IndexError):
+        apply_to_factor(approx_transpose(2), rho, factor)
+
+
+def test_apply_to_factor_accepts_a_numpy_integer():
+    rho = haar_random_density(4, 3, dims=(2, 2))
+    ch = approx_transpose(2)
+    assert np.array_equal(apply_to_factor(ch, rho, np.int64(1)).mat, apply_to_factor(ch, rho, 1).mat)
+
+
 def test_measure_prepare_sic_qubit():
     g = sic_from_fiducial(builtin_fiducial(2))
     mp, ch = measure_prepare_from_design(g)
-    for eff, vec in zip(mp.effects, (k.vec for k in g.vectors)):
-        assert np.abs(eff.mat - np.outer(vec, vec.conj()) / 2).max() < 1e-12
+    for eff, vec in zip(mp.effect_stack, g.vector_stack):
+        assert np.abs(eff - np.outer(vec, vec.conj()) / 2).max() < 1e-12
     assert cj_distance(ch, approx_transpose(2)) < 1e-10
 
 
 def test_measure_prepare_mub_qubit_conjugation_rule():
     g = mub_prime(2)
     mp, ch = measure_prepare_from_design(g)
-    for eff in mp.effects:
-        assert np.abs(np.trace(eff.mat) - 1 / 3) < 1e-12
-    arr = [k.vec for k in g.vectors]
+    for eff in mp.effect_stack:
+        assert np.abs(np.trace(eff) - 1 / 3) < 1e-12
+    arr, preps = g.vector_stack, mp.preparation_stack
     # conjugation fixes the z and x eigenbases and flips the two y eigenvectors
     for i in (0, 1, 2, 3):
-        assert phase_free_distance(mp.preparations[i].vec, arr[i]) < 1e-12
-    assert phase_free_distance(mp.preparations[4].vec, arr[5]) < 1e-12
-    assert phase_free_distance(mp.preparations[5].vec, arr[4]) < 1e-12
+        assert phase_free_distance(preps[i], arr[i]) < 1e-12
+    assert phase_free_distance(preps[4], arr[5]) < 1e-12
+    assert phase_free_distance(preps[5], arr[4]) < 1e-12
     assert cj_distance(ch, approx_transpose(2)) < 1e-10
 
 

@@ -14,7 +14,6 @@ from transposim import (
     SearchFailed,
     ValidationError,
     builtin_fiducial,
-    design_matrix,
     fiducial_search,
     frame_potential,
     hw_orbit,
@@ -29,13 +28,11 @@ from transposim import (
     sic_from_fiducial,
     swap_operator,
     two_design_frame_potential,
-    verify_coherent,
-    verify_two_design,
-    weyl_pair,
 )
 from transposim import designs
 from transposim.designs import Fiducial, _orbit_fp_and_grad, _overlap_dev_and_grad
-from transposim.fileio import _pairs, write_json
+from transposim.fileio import write_json
+from test_kernels import ref_weyl_pair
 
 
 @pytest.mark.parametrize("d", range(2, 13))
@@ -47,34 +44,36 @@ def test_identity_plus_swap_is_real_and_bit_identical(d):
     assert got.tobytes() == ref.real.tobytes()
 
 
+# the dense shift/clock pair is the tests' oracle (`ref_weyl_pair`); the
+# package applies the group action by index arithmetic in `_weyl_orbit`
 def test_weyl_pair_qubit():
-    wp = weyl_pair(2)
-    assert np.array_equal(wp.x.mat, np.array([[0, 1], [1, 0]]))
-    assert np.abs(wp.z.mat - np.diag([1.0, -1.0])).max() < 1e-15
+    x, z = ref_weyl_pair(2)
+    assert np.array_equal(x, np.array([[0, 1], [1, 0]]))
+    assert np.abs(z - np.diag([1.0, -1.0])).max() < 1e-15
 
 
 def test_weyl_commutation_d3():
-    wp = weyl_pair(3)
-    lhs = wp.z.mat @ wp.x.mat @ np.linalg.inv(wp.z.mat) @ np.linalg.inv(wp.x.mat)
-    assert np.abs(lhs - wp.omega * np.eye(3)).max() < 1e-12
+    x, z = ref_weyl_pair(3)
+    lhs = z @ x @ np.linalg.inv(z) @ np.linalg.inv(x)
+    assert np.abs(lhs - np.exp(2j * np.pi / 3) * np.eye(3)).max() < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
 def test_weyl_cyclicity(d):
-    wp = weyl_pair(d)
-    assert np.abs(np.linalg.matrix_power(wp.x.mat, d) - np.eye(d)).max() < 1e-12
-    assert np.abs(np.linalg.matrix_power(wp.z.mat, d) - np.eye(d)).max() < 1e-12
+    x, z = ref_weyl_pair(d)
+    assert np.abs(np.linalg.matrix_power(x, d) - np.eye(d)).max() < 1e-12
+    assert np.abs(np.linalg.matrix_power(z, d) - np.eye(d)).max() < 1e-12
 
 
 def test_weyl_pair_guard():
-    with pytest.raises(DomainError):
-        weyl_pair(1)
+    with pytest.raises(DomainError, match="dimension >= 2"):
+        designs._weyl_orbit(np.ones(1, dtype=complex))
 
 
 def test_sic_qubit_overlaps():
     g = sic_from_fiducial(builtin_fiducial(2))
     assert g.n == 4
-    arr = design_matrix(g)
+    arr = g.vector_stack
     for j, k in itertools.combinations(range(4), 2):
         assert abs(abs(np.vdot(arr[j], arr[k])) ** 2 - 1 / 3) < 1e-12
 
@@ -82,7 +81,7 @@ def test_sic_qubit_overlaps():
 def test_sic_qutrit_overlaps():
     g = sic_from_fiducial(builtin_fiducial(3))
     assert g.n == 9
-    arr = design_matrix(g)
+    arr = g.vector_stack
     for j, k in itertools.combinations(range(9), 2):
         assert abs(abs(np.vdot(arr[j], arr[k])) ** 2 - 1 / 4) < 1e-12
 
@@ -104,7 +103,7 @@ def test_sic_rejects_basis_fiducial():
 def test_mub_qubit_is_pauli_eigenbases():
     g = mub_prime(2)
     assert g.n == 6
-    arr = design_matrix(g)
+    arr = g.vector_stack
     s = 1 / np.sqrt(2)
     expected = [
         [1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s],
@@ -117,7 +116,7 @@ def test_mub_qubit_is_pauli_eigenbases():
 def test_mub_overlap_structure(d):
     g = mub_prime(d)
     assert g.n == d * (d + 1)
-    arr = design_matrix(g)
+    arr = g.vector_stack
     for b1 in range(d + 1):
         basis1 = arr[b1 * d:(b1 + 1) * d]
         gram = basis1 @ basis1.conj().T
@@ -136,22 +135,22 @@ def test_mub_rejects_non_prime():
 
 
 def test_two_design_check_passes_for_sic_and_mub():
-    assert verify_two_design(sic_from_fiducial(builtin_fiducial(2))) < 1e-10
-    assert verify_two_design(mub_prime(3)) < 1e-10
+    assert sic_from_fiducial(builtin_fiducial(2)).two_design_residual < 1e-10
+    assert mub_prime(3).two_design_residual < 1e-10
 
 
 def test_two_design_check_fails_for_computational_basis():
     g = make_design(np.eye(2, dtype=complex))
-    assert verify_two_design(g) > 0.1
+    assert g.two_design_residual > 0.1
 
 
 def test_coherence_sums():
     g2 = sic_from_fiducial(builtin_fiducial(2))
-    arr = design_matrix(g2)
+    arr = g2.vector_stack
     total = sum(np.outer(v, v.conj()) for v in arr)
     assert np.abs(total - 2 * np.eye(2)).max() < 1e-10
     m2 = mub_prime(2)
-    total = sum(np.outer(v, v.conj()) for v in design_matrix(m2))
+    total = sum(np.outer(v, v.conj()) for v in m2.vector_stack)
     assert np.abs(total - 3 * np.eye(2)).max() < 1e-10
 
 
@@ -159,7 +158,7 @@ def test_coherence_fails_for_skewed_family():
     s = 1 / np.sqrt(2)
     g = make_design(np.array([[1, 0], [0, 1], [s, s]], dtype=complex))
     # projector sum has equal diagonal 3/2 but off-diagonal 1/2
-    assert verify_coherent(g) > 0.5
+    assert g.coherence_residual > 0.5
 
 
 def test_frame_potentials():
@@ -171,27 +170,27 @@ def test_frame_potentials():
 
 def test_two_design_iff_frame_potential_minimum():
     for g in (sic_from_fiducial(builtin_fiducial(2)), mub_prime(2), mub_prime(3)):
-        assert verify_two_design(g) < 1e-10
+        assert g.two_design_residual < 1e-10
         assert abs(frame_potential(g) - two_design_frame_potential(g.n, g.d)) < 1e-9
     basis = make_design(np.eye(2, dtype=complex))
-    assert verify_two_design(basis) > 1e-10
+    assert basis.two_design_residual > 1e-10
     assert abs(frame_potential(basis) - two_design_frame_potential(2, 2)) > 1e-9
 
 
 def test_conjugate_design_also_passes():
     g = sic_from_fiducial(builtin_fiducial(2))
-    conj = make_design(design_matrix(g).conj())
-    assert verify_two_design(conj) < 1e-10
+    conj = make_design(g.vector_stack.conj())
+    assert conj.two_design_residual < 1e-10
 
 
 def test_hw_covariance():
     f = builtin_fiducial(2)
     orbit = hw_orbit(f)
-    wp = weyl_pair(2)
+    x, _ = ref_weyl_pair(2)
     d = 2
     for k in range(d):
         for l in range(d):
-            shifted = wp.x.mat @ orbit[k * d + l]
+            shifted = x @ orbit[k * d + l]
             target = orbit[((k + 1) % d) * d + l]
             assert phase_free_distance(shifted, target) < 1e-12
 
@@ -337,7 +336,7 @@ def test_design_file_roundtrip(tmp_path):
     save_design(g, str(path))
     back = load_design(str(path))
     assert back.n == g.n
-    assert verify_two_design(back) < 1e-10
+    assert back.two_design_residual < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -349,7 +348,8 @@ def test_design_file_roundtrip(tmp_path):
 def test_save_design_writes_the_bytes_of_its_vector_views(build, tmp_path):
     g = build()
     save_design(g, str(tmp_path / "stack.json"))
-    write_json({"dim": g.d, "vectors": [_pairs(k.vec) for k in g.vectors]}, str(tmp_path / "kets.json"))
+    rows = [[[float(c.real), float(c.imag)] for c in v] for v in g.vector_stack]
+    write_json({"dim": g.d, "vectors": rows}, str(tmp_path / "kets.json"))
     assert (tmp_path / "stack.json").read_bytes() == (tmp_path / "kets.json").read_bytes()
 
 

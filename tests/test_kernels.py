@@ -17,17 +17,14 @@ from transposim import (
     Fiducial,
     Ket,
     MeasurePrepare,
-    Operator,
     ValidationError,
     apply_to_factor,
-    Design,
     build_fig2_pipeline,
     build_two_step,
     builtin_fiducial,
     channel_from_cj,
     channel_from_measure_prepare,
     correction_set,
-    design_matrix,
     fiducial_search,
     haar_random_density,
     hw_orbit,
@@ -129,14 +126,14 @@ def ref_overlap_dev_and_grad(x, d):
 VECTOR_FAMILIES = {
     "sic2": lambda: hw_orbit(builtin_fiducial(2)),
     "sic3": lambda: hw_orbit(builtin_fiducial(3)),
-    "mub2": lambda: design_matrix(mub_prime(2)),
-    "mub3": lambda: design_matrix(mub_prime(3)),
-    "mub5": lambda: design_matrix(mub_prime(5)),
+    "mub2": lambda: mub_prime(2).vector_stack,
+    "mub3": lambda: mub_prime(3).vector_stack,
+    "mub5": lambda: mub_prime(5).vector_stack,
     # not designs: the residuals are non-zero and must still agree
     "random-5x3": lambda: random_unit_vectors(5, 3, 1),
     "random-12x4": lambda: random_unit_vectors(12, 4, 2),
     "basis-4": lambda: np.eye(4, dtype=complex),
-    "two-mub3-bases": lambda: design_matrix(mub_prime(3))[:6],
+    "two-mub3-bases": lambda: mub_prime(3).vector_stack[:6],
 }
 
 
@@ -199,7 +196,7 @@ def test_mub_prime_matches_gauss_sum_loop(d):
     for a in range(d):
         for b in range(d):
             rows.append(omega ** ((a * m * m + b * m) % d) / np.sqrt(d))
-    assert np.array_equal(design_matrix(mub_prime(d)), np.array(rows))
+    assert np.array_equal(mub_prime(d).vector_stack, np.array(rows))
 
 
 def test_make_design_reports_failures_in_vector_order():
@@ -269,14 +266,14 @@ MP_CASES = {
 @pytest.mark.parametrize("name", sorted(MP_CASES))
 def test_channel_from_measure_prepare_matches_kron_loop(name):
     effects, preps = MP_CASES[name]()
-    mp = MeasurePrepare(tuple(Operator(e) for e in effects), tuple(Ket(p) for p in preps))
+    mp = MeasurePrepare(np.array(effects), np.array(preps))
     got = channel_from_measure_prepare(mp).cj.mat
     assert np.abs(got - ref_measure_prepare_cj(effects, preps)).max() < TOL
 
 
 def test_channel_from_measure_prepare_rejects_unpaired_outcomes():
     effects, preps = MP_CASES["sic2"]()
-    mp = MeasurePrepare(tuple(Operator(e) for e in effects), tuple(Ket(p) for p in preps[:-1]))
+    mp = MeasurePrepare(np.array(effects), np.array(preps[:-1]))
     with pytest.raises(DomainError, match="4 effects but 3 prepared states"):
         channel_from_measure_prepare(mp)
 
@@ -334,7 +331,7 @@ def test_simulate_circuit_matches_loop(d, seed):
     rho = haar_random_density(d, seed)
     probs, out = simulate_circuit(f, rho)
     sic = sic_from_fiducial(f)
-    orbit = design_matrix(sic)
+    orbit = sic.vector_stack
     effects = [np.outer(v, v.conj()) / d for v in orbit]
     ref_probs, ref_out = ref_measure_and_prepare(effects, orbit.conj(), rho.mat)
     assert np.abs(probs - ref_probs).max() < TOL
@@ -345,8 +342,8 @@ def test_simulate_circuit_matches_loop(d, seed):
 def test_pipeline_probabilities_match_loop(seed):
     pipe = build_fig2_pipeline(builtin_fiducial(2))
     rho = haar_random_density(2, seed)
-    effects = [m.mat for m in pipe.effects]
-    preps = [k.vec for k in pipe.prepared_states]
+    effects = list(pipe.effect_stack)
+    preps = list(pipe.prepared_stack)
     ref_probs, ref_out = ref_measure_and_prepare(effects, preps, rho.mat)
     assert np.abs(path_probabilities(pipe, rho) - ref_probs).max() < TOL
     probs, out = run_pipeline(pipe, rho)
@@ -390,21 +387,10 @@ def realization_records():
 
 
 def test_record_views_equal_their_stacks_bit_for_bit():
-    g, mp, ts, pipe = realization_records()
-    pairs = [
-        (g.vector_stack, [k.vec for k in g.vectors]),
-        (mp.effect_stack, [m.mat for m in mp.effects]),
-        (mp.preparation_stack, [k.vec for k in mp.preparations]),
-        (np.array([np.diag(a) for a in ts.kraus_diagonals]), [m.mat for m in ts.first_kraus]),
-        (ts.fourier_effects, [m.mat for m in ts.second_effects]),
-        (ts.assembled_stack, [m.mat for m in ts.assembled]),
-        (pipe.effect_stack, [m.mat for m in pipe.effects]),
-        (pipe.prepared_stack, [k.vec for k in pipe.prepared_states]),
-    ]
-    for stack, views in pairs:
-        assert np.array(views).tobytes() == stack.tobytes()
-    assert g.vectors is g.vectors and ts.assembled is ts.assembled
-    assert np.array_equal(design_matrix(g), g.vector_stack)
+    # `assembled` is the one tuple view a record still derives
+    _, _, ts, _ = realization_records()
+    assert np.array([m.mat for m in ts.assembled]).tobytes() == ts.assembled_stack.tobytes()
+    assert ts.assembled is ts.assembled
 
 
 def test_record_stacks_are_read_only():
@@ -418,26 +404,12 @@ def test_record_stacks_are_read_only():
             stack[0] = 0
 
 
-def test_record_constructors_take_wrappers_or_arrays():
-    g, mp, ts, pipe = realization_records()
-    effects, preps = mp.effect_stack.copy(), mp.preparation_stack.copy()
-    from_arrays = MeasurePrepare(effects, preps)
-    effects[0] = 0  # the record holds its own copy
-    from_wrappers = MeasurePrepare(mp.effects, mp.preparations)
-    for rec in (from_arrays, from_wrappers):
-        assert np.array_equal(rec.effect_stack, mp.effect_stack)
-        assert np.array_equal(rec.preparation_stack, mp.preparation_stack)
-    rebuilt = Design(g.d, g.vectors, g.kind, g.two_design_residual, g.coherence_residual)
-    assert np.array_equal(rebuilt.vector_stack, g.vector_stack)
-    args = (ts.d, ts.fiducial, ts.first_kraus, ts.second_effects, ts.assembled, ts.convention, ts.orbit)
-    assert np.array_equal(TwoStepMeasurement(*args).kraus_diagonals, ts.kraus_diagonals)
-    dense = (Operator(np.ones((3, 3))),) + ts.first_kraus[1:]
-    with pytest.raises(DomainError, match="diagonal"):
-        TwoStepMeasurement(ts.d, ts.fiducial, dense, *args[3:])
-
-
 def test_record_constructors_check_and_copy_read_only_arrays():
     g, mp, ts, pipe = realization_records()
+    effects = mp.effect_stack.copy()
+    rec = MeasurePrepare(effects, mp.preparation_stack)
+    effects[0] = 0  # a writable input is copied
+    assert np.array_equal(rec.effect_stack, mp.effect_stack)
     owned = mp.preparation_stack.copy()
     owned.setflags(write=False)
     rec = MeasurePrepare(mp.effect_stack, owned)
@@ -449,15 +421,18 @@ def test_record_constructors_check_and_copy_read_only_arrays():
     with pytest.raises(DomainError, match="non-finite"):
         MeasurePrepare(mp.effect_stack, owned)
     tail = (ts.convention, ts.orbit)
-    full = np.stack([k.mat for k in ts.first_kraus])  # (d, d, d), not the (d, d) diagonals
+    rebuilt = TwoStepMeasurement(ts.d, ts.fiducial, ts.kraus_diagonals, ts.fourier_effects,
+                                 ts.assembled_stack, *tail)
+    assert rebuilt.kraus_diagonals.tobytes() == ts.kraus_diagonals.tobytes()
+    full = np.array([np.diag(a) for a in ts.kraus_diagonals])  # (d, d, d), not the (d, d) diagonals
     with pytest.raises(DomainError, match="kraus_diagonals"):
         TwoStepMeasurement(ts.d, ts.fiducial, full, ts.fourier_effects, ts.assembled_stack, *tail)
     with pytest.raises(DomainError, match="assembled_stack"):
         TwoStepMeasurement(ts.d, ts.fiducial, ts.kraus_diagonals, ts.fourier_effects,
                            ts.assembled_stack[:-1], *tail)
     with pytest.raises(DomainError, match="kraus_diagonals"):
-        TwoStepMeasurement(ts.d, ts.fiducial, ts.first_kraus[:-1], ts.second_effects,
-                           ts.assembled, *tail)
+        TwoStepMeasurement(ts.d, ts.fiducial, ts.kraus_diagonals[:-1], ts.fourier_effects,
+                           ts.assembled_stack, *tail)
 
 
 def count_constructions(monkeypatch):

@@ -15,10 +15,10 @@ EXPORTED = {
         "pointwise_transpose_fidelity", "save_channel", "transpose_map",
     ],
     "designs": [
-        "Design", "Fiducial", "WeylPair", "builtin_fiducial", "design_matrix", "fiducial_search",
-        "frame_potential", "hw_orbit", "load_design", "load_fiducial", "make_design",
-        "mub_prime", "orbit_certificate", "save_design", "save_fiducial", "sic_from_fiducial",
-        "two_design_frame_potential", "verify_coherent", "verify_two_design", "weyl_pair",
+        "Design", "Fiducial", "builtin_fiducial", "fiducial_search", "frame_potential",
+        "hw_orbit", "load_design", "load_fiducial", "make_design", "mub_prime",
+        "orbit_certificate", "save_design", "save_fiducial", "sic_from_fiducial",
+        "two_design_frame_potential",
     ],
     "errors": [
         "CalibrationError", "ConventionMismatch", "DomainError", "NotPrimeError", "NotSICError",
@@ -30,7 +30,7 @@ EXPORTED = {
     ],
     "fileio": ["parse_state_file", "save_state"],
     "linalg": [
-        "DensityMatrix", "Ket", "Operator", "basis_ket", "eig_hermitian", "haar_random_density",
+        "DensityMatrix", "Ket", "Operator", "basis_ket", "haar_random_density",
         "haar_random_ket", "identity", "kron", "kron_ket", "outer", "partial_trace",
         "partial_transpose", "permute_subsystems", "phase_free_distance", "real_trace_product",
         "swap_operator",

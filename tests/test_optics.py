@@ -116,8 +116,8 @@ def test_prepared_states_are_conjugates():
     f = builtin_fiducial(2)
     pipe = build_fig2_pipeline(f)
     orbit = hw_orbit(f)
-    for k, s in zip(pipe.prepared_states, orbit):
-        assert phase_free_distance(k.vec, s.conj()) < 1e-10
+    for k, s in zip(pipe.prepared_stack, orbit):
+        assert phase_free_distance(k, s.conj()) < 1e-10
 
 
 def test_coupler_output_is_the_prepared_mixture():
@@ -126,7 +126,7 @@ def test_coupler_output_is_the_prepared_mixture():
     rho = haar_random_density(2, 42)
     probs, out = run_pipeline(pipe, rho)
     manual = sum(
-        p * np.outer(k.vec, k.vec.conj()) for p, k in zip(probs, pipe.prepared_states)
+        p * np.outer(k, k.conj()) for p, k in zip(probs, pipe.prepared_stack)
     )
     assert np.abs(out.mat - manual).max() == 0.0
 

@@ -28,8 +28,8 @@ from transposim.designs import Fiducial
 def test_first_step_kraus_structure_d2():
     ts = build_two_step(builtin_fiducial(2))
     alphas = builtin_fiducial(2).alphas
-    a0 = ts.first_kraus[0].mat
-    a1 = ts.first_kraus[1].mat
+    a0 = np.diag(ts.kraus_diagonals[0])
+    a1 = np.diag(ts.kraus_diagonals[1])
     assert np.abs(a0 - np.diag(a0.diagonal())).max() == 0.0
     assert np.abs(a1 - np.diag(a1.diagonal())).max() == 0.0
     # amplitude magnitudes sit on the plain/shifted diagonals
@@ -41,8 +41,8 @@ def test_second_step_is_fourier_basis_d2():
     ts = build_two_step(builtin_fiducial(2))
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
-    assert np.abs(ts.second_effects[0].mat - np.outer(plus, plus)).max() < 1e-12
-    assert np.abs(ts.second_effects[1].mat - np.outer(minus, minus)).max() < 1e-12
+    assert np.abs(ts.fourier_effects[0] - np.outer(plus, plus)).max() < 1e-12
+    assert np.abs(ts.fourier_effects[1] - np.outer(minus, minus)).max() < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -52,19 +52,20 @@ def test_assembled_effects_match_orbit_projectors(d):
     orbit = hw_orbit(f)
     for idx in range(d * d):
         target = np.outer(orbit[idx], orbit[idx].conj()) / d
-        assert np.abs(ts.assembled[idx].mat - target).max() < 1e-10
+        assert np.abs(ts.assembled_stack[idx] - target).max() < 1e-10
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_exact_decomposition_and_completeness(d):
     ts = build_two_step(builtin_fiducial(d))
+    kraus = [np.diag(a) for a in ts.kraus_diagonals]
     for k in range(d):
         for l in range(d):
-            prod = ts.first_kraus[k].mat.conj().T @ ts.second_effects[l].mat @ ts.first_kraus[k].mat
-            assert np.linalg.norm(ts.assembled[k * d + l].mat - prod) < 1e-10
-    total = sum(m.mat for m in ts.assembled)
+            prod = kraus[k].conj().T @ ts.fourier_effects[l] @ kraus[k]
+            assert np.linalg.norm(ts.assembled_stack[k * d + l] - prod) < 1e-10
+    total = sum(ts.assembled_stack)
     assert np.linalg.norm(total - np.eye(d)) < 1e-10
-    kraus_total = sum(a.mat.conj().T @ a.mat for a in ts.first_kraus)
+    kraus_total = sum(a.conj().T @ a for a in kraus)
     assert np.abs(kraus_total - np.eye(d)).max() < 1e-10
 
 

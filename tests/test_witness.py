@@ -261,6 +261,25 @@ def test_multipartite_aew_cut_guard():
         multipartite_aew(1, 2, 0, g)
 
 
+@pytest.mark.parametrize("cut", [1.0, True, np.float64(0.0), "1", None])
+def test_multipartite_cut_must_be_an_integer(cut):
+    # 1.0 ended in a TypeError and True was stored as cut (True,)
+    g = sic_from_fiducial(builtin_fiducial(2))
+    with pytest.raises(DomainError):
+        multipartite_aew(3, 2, cut, g)
+    with pytest.raises(DomainError):
+        multipartite_closed_forms(3, 2, cut, g)
+
+
+def test_multipartite_cut_accepts_a_numpy_integer_and_stores_an_int():
+    g = sic_from_fiducial(builtin_fiducial(2))
+    a = multipartite_aew(3, 2, np.int64(1), g)
+    assert a.cut == (1,) and type(a.cut[0]) is int
+    assert np.array_equal(a.state.mat, multipartite_aew(3, 2, 1, g).state.mat)
+    with pytest.raises(IndexError):
+        multipartite_closed_forms(3, 2, 3, g)
+
+
 def test_multipartite_oracle_design_independence():
     # realize the local channel through a design measurement instead of the formula
     g = sic_from_fiducial(builtin_fiducial(2))
