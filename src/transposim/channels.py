@@ -15,15 +15,18 @@ reshaped state instead of forming kron(I, K, I).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap
+from .designs import _SHARED_MAX_DIM, COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap
 from .errors import DomainError, NotTracePreserving, ParseError
 from .fileio import _integer, _matrix, _pairs, _read_json, write_json
-from .linalg import DensityMatrix, Ket, Operator, _check_index, _frozen, _psd_violation, swap_operator
+from .linalg import (
+    DensityMatrix, Ket, Operator, _as_int, _check_index, _frozen, _psd_violation, swap_operator,
+)
 
 CJ_TOL = 1e-10
 
@@ -79,17 +82,23 @@ def _channel(cj: np.ndarray, d: int, expect_cptp: bool = True) -> Channel:
     return Channel(d, d, Operator(cj, (d, d)), cptp=psd_ok and tp_ok)
 
 
-def transpose_map(d: int) -> Channel:
-    """The (unphysical) transpose map rho -> rho^T; CJ matrix V/d, not PSD."""
+def _check_dim(d) -> int:
+    """A channel dimension as an int: an integer (by `_as_int`) of at least 2."""
+    d = _as_int(d, "dimension")
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
+    return d
+
+
+def transpose_map(d: int) -> Channel:
+    """The (unphysical) transpose map rho -> rho^T; CJ matrix V/d, not PSD."""
+    d = _check_dim(d)
     return _channel(swap_operator(d).mat / d, d, expect_cptp=False)
 
 
 def depolarize_to_identity(d: int) -> Channel:
     """The map sending every state to the maximally mixed one; CJ = identity/d^2."""
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
+    d = _check_dim(d)
     return _channel(np.eye(d * d) / (d * d), d)
 
 
@@ -98,10 +107,16 @@ def approx_transpose(d: int) -> Channel:
 
     The transpose is mixed with just enough depolarizing noise to be physical:
     weight 1/(d+1) on the transpose, d/(d+1) on depolarizing, equivalently
-    CJ = (identity + V) / (d(d+1)).
+    CJ = (identity + V) / (d(d+1)).  d is checked on every call; for d <= 8
+    every call returns the one read-only channel built and checked by the first.
     """
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
+    d = _check_dim(d)
+    return (_approx_transpose if d <= _SHARED_MAX_DIM else _approx_transpose.__wrapped__)(d)
+
+
+@functools.cache
+def _approx_transpose(d: int) -> Channel:
+    """The checked approximate transpose for a d that `approx_transpose` has already accepted."""
     return _channel(_identity_plus_swap(d), d)
 
 

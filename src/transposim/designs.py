@@ -7,6 +7,7 @@ proportional to the identity, so it induces a measurement.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NotPrimeError, NotSICError, ParseError, SearchFailed, ValidationError
 from .fileio import _integer, _pairs, _read_json, _vector, write_json
-from .linalg import Ket, _frozen
+from .linalg import Ket, _as_int, _frozen
 
 TWO_DESIGN_TOL = 1e-10
 COHERENCE_TOL = 1e-10
@@ -24,6 +25,11 @@ SIC_OVERLAP_TOL = 1e-9
 # matrices, about d^4 complex entries (268 MB at d = 64; the search objectives
 # hold d^3); larger dimensions are refused before anything is allocated
 MAX_DIM = 64
+# `mub_prime` and `channels.approx_transpose` build and check one record per
+# dimension d <= 8, held for the life of the process and shared by every call:
+# d^2 <= 64 is the package's limit on total dimension, and the records so held
+# take about 150 KB.  A larger d is built afresh on every call.
+_SHARED_MAX_DIM = 8
 
 
 def _refuse_oversized(d: int, what: str) -> None:
@@ -154,6 +160,7 @@ _BUILTIN_FIDUCIALS: dict[int, np.ndarray] = {
 
 def builtin_fiducial(d: int) -> Fiducial:
     """Known-good SIC fiducial for d = 2 or 3."""
+    d = _as_int(d, "dimension")
     if d not in _BUILTIN_FIDUCIALS:
         raise DomainError(f"no built-in fiducial for dimension {d}; run a search or load a file")
     return Fiducial(d, Ket(_BUILTIN_FIDUCIALS[d]))
@@ -235,11 +242,19 @@ def mub_prime(d: int) -> Design:
 
     d = 2 uses the three Pauli eigenbases; odd primes use the quadratic
     Gauss-sum vectors with components omega^(a m^2 + b m) / sqrt(d), preceded
-    by the computational basis.
+    by the computational basis.  d is checked on every call; for d <= 8 every
+    call returns the one read-only record built and checked by the first.
     """
+    d = _as_int(d, "dimension")
     _refuse_oversized(d, "the MUB construction")
     if not _is_prime(d):
         raise NotPrimeError(f"MUB construction implemented for prime dimensions only, got {d}")
+    return (_mub_prime if d <= _SHARED_MAX_DIM else _mub_prime.__wrapped__)(d)
+
+
+@functools.cache
+def _mub_prime(d: int) -> Design:
+    """The checked MUB design for a prime d that `mub_prime` has already accepted."""
     if d == 2:
         s = 1 / np.sqrt(2)
         vecs = np.array(

@@ -196,17 +196,25 @@ def kron_ket(a: Ket, b: Ket) -> Ket:
     return Ket(np.kron(a.vec, b.vec), a.dims + b.dims)
 
 
-def _check_index(s, dims: tuple[int, ...]) -> int:
-    """A factor index of `dims` as an int.
+def _as_int(value, what: str) -> int:
+    """`value` as a plain int: the one integer rule for factor indices and dimensions.
 
-    It must be a Python or numpy integer (a bool or a float is refused with
-    DomainError) and lie in range (else IndexError).
+    It must be a Python or numpy integer; a bool or a float is refused with
+    DomainError, and a numpy integer becomes an int.
     """
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-        raise DomainError(f"subsystem index must be an integer, got {s!r}")
+    if type(value) is int:  # the common case, without the numpy ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_index(s, dims: tuple[int, ...]) -> int:
+    """A factor index of `dims` as an int, by `_as_int`, in range (else IndexError)."""
+    s = _as_int(s, "subsystem index")
     if not 0 <= s < len(dims):
         raise IndexError(f"subsystem {s} out of range for dims {dims}")
-    return int(s)
+    return s
 
 
 def _check_subsystems(dims: tuple[int, ...], subs) -> list[int]:

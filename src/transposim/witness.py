@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import apply_to_factor, approx_transpose
+from .channels import _check_dim, apply_to_factor, approx_transpose
 from .designs import COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap
 from .errors import DomainError
 from .linalg import (
@@ -115,8 +115,7 @@ class DetectionReport:
 
 def transpose_witness(d: int) -> Witness:
     """The swap-based witness V/d: unit trace, minimum eigenvalue -1/d."""
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
+    d = _check_dim(d)
     return Witness(Operator(swap_operator(d).mat / d, (d, d)))
 
 

@@ -1,0 +1,152 @@
+"""One shared, checked record per small dimension; one integer rule for dimensions.
+
+`approx_transpose(d)` and `mub_prime(d)` build and check their record on the
+first call for a d <= 8 (d^2 <= 64, the package's total-dimension limit) and
+return that same read-only record on every later call.  The dimension is
+checked on every call, before the shared record is looked up, so a refusal is
+raised again each time and a numpy integer cannot plant itself in the record.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from transposim import (
+    DomainError,
+    NotPrimeError,
+    approx_transpose,
+    builtin_fiducial,
+    depolarize_to_identity,
+    load_channel,
+    mub_prime,
+    save_channel,
+    transpose_map,
+    transpose_witness,
+)
+from transposim import channels, designs
+
+SHARED_DIMS = range(2, 9)
+MUB_DIMS = (2, 3, 5, 7)
+# each constructor that takes a dimension, and where its result records it
+DIMENSION_OF = {
+    approx_transpose: lambda ch: ch.d_in,
+    transpose_map: lambda ch: ch.d_in,
+    depolarize_to_identity: lambda ch: ch.d_in,
+    transpose_witness: lambda w: w.dims[0],
+    builtin_fiducial: lambda f: f.d,
+    mub_prime: lambda g: g.d,
+}
+
+
+def assert_same_channel(a, b):
+    assert a.cj.mat.tobytes() == b.cj.mat.tobytes()
+    assert a.cj.dims == b.cj.dims
+    assert (a.cptp, a.d_in, a.d_out) == (b.cptp, b.d_in, b.d_out)
+    assert type(a.d_in) is int and type(a.d_out) is int
+
+
+def assert_same_design(a, b):
+    assert a.vector_stack.tobytes() == b.vector_stack.tobytes()
+    assert (a.d, a.kind, a.two_design_residual, a.coherence_residual) == (
+        b.d, b.kind, b.two_design_residual, b.coherence_residual
+    )
+
+
+@pytest.mark.parametrize("d", SHARED_DIMS)
+def test_approx_transpose_is_one_record_per_small_dimension(d):
+    first = approx_transpose(d)
+    assert approx_transpose(d) is first
+    assert approx_transpose(np.int64(d)) is first
+    assert approx_transpose(np.int32(d)) is first
+
+
+@pytest.mark.parametrize("d", MUB_DIMS)
+def test_mub_prime_is_one_record_per_small_prime(d):
+    first = mub_prime(d)
+    assert mub_prime(d) is first
+    assert mub_prime(np.int64(d)) is first
+
+
+def test_a_larger_dimension_is_built_afresh_and_bit_identically():
+    a, b = approx_transpose(9), approx_transpose(9)
+    assert a is not b
+    assert_same_channel(a, b)
+    g, h = mub_prime(11), mub_prime(11)
+    assert g is not h
+    assert_same_design(g, h)
+
+
+@pytest.mark.parametrize("d", SHARED_DIMS)
+def test_the_shared_channel_equals_the_uncached_build(d):
+    assert_same_channel(approx_transpose(d), channels._approx_transpose.__wrapped__(d))
+
+
+@pytest.mark.parametrize("d", MUB_DIMS)
+def test_the_shared_mub_equals_the_uncached_build(d):
+    assert_same_design(mub_prime(d), designs._mub_prime.__wrapped__(d))
+
+
+@pytest.mark.parametrize("d", SHARED_DIMS)
+def test_the_shared_records_are_read_only(d):
+    arrays = [approx_transpose(d).cj.mat]
+    if d in MUB_DIMS:
+        arrays.append(mub_prime(d).vector_stack)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.5
+
+
+@pytest.mark.parametrize(
+    "build, d, error",
+    [(mub_prime, 4, NotPrimeError), (mub_prime, 67, DomainError), (approx_transpose, 1, DomainError),
+     (mub_prime, 1, NotPrimeError)],
+)
+def test_a_refusal_is_raised_on_every_call_and_never_held(build, d, error):
+    held = (channels._approx_transpose.cache_info().currsize,
+            designs._mub_prime.cache_info().currsize)
+    for _ in range(2):
+        with pytest.raises(error):
+            build(d)
+    assert (channels._approx_transpose.cache_info().currsize,
+            designs._mub_prime.cache_info().currsize) == held
+
+
+@pytest.mark.parametrize("build", DIMENSION_OF, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("d", [2.0, 3.0, True, "2", None])
+def test_a_dimension_that_is_not_an_integer_is_a_domain_error(build, d):
+    with pytest.raises(DomainError, match="dimension must be an integer"):
+        build(d)
+
+
+@pytest.mark.parametrize("build", DIMENSION_OF, ids=lambda f: f.__name__)
+def test_a_numpy_integer_dimension_becomes_an_int(build):
+    d = DIMENSION_OF[build](build(np.int64(2)))
+    assert d == 2 and type(d) is int
+
+
+def test_a_numpy_integer_dimension_never_reaches_the_shared_record():
+    channels._approx_transpose.cache_clear()
+    assert type(approx_transpose(np.int64(3)).d_in) is int
+    assert type(approx_transpose(3).d_in) is int
+
+
+def test_a_channel_built_from_a_numpy_integer_saves_as_json(tmp_path):
+    path = tmp_path / "ch.json"
+    save_channel(approx_transpose(np.int64(2)), str(path))
+    doc = json.loads(path.read_text())
+    assert (doc["d_in"], doc["d_out"]) == (2, 2)
+    assert_same_channel(load_channel(str(path)), approx_transpose(2))
+
+
+def test_the_dimension_checks_run_in_order():
+    # the integer rule first, then the lower bound, the size limit and primality
+    with pytest.raises(DomainError, match="must be an integer"):
+        approx_transpose(1.0)
+    with pytest.raises(DomainError, match=">= 2"):
+        approx_transpose(np.int64(1))
+    with pytest.raises(DomainError, match="must be an integer"):
+        mub_prime(100.0)
+    with pytest.raises(DomainError, match="limited to dimension <= 64"):
+        mub_prime(np.int64(100))
