@@ -89,16 +89,9 @@ _EXPORTS = {
     ),
     "optics": (
         "Fig2Pipeline",
-        "OpticalElement",
         "build_fig2_pipeline",
-        "element_matrix",
-        "hwp",
         "output_channel",
-        "path_probabilities",
-        "pbs",
         "phase_report",
-        "phase_shifter",
-        "ppbs",
         "run_pipeline",
     ),
     "twostep": (

@@ -40,7 +40,7 @@ from .linalg import (
     real_trace_product,
     swap_operator,
 )
-from .optics import build_fig2_pipeline, output_channel, path_probabilities, phase_report
+from .optics import build_fig2_pipeline, output_channel, phase_report, run_pipeline
 from .twostep import build_two_step, two_step_channel, verify_corrections
 from .witness import (
     aew,
@@ -164,7 +164,7 @@ def criterion_06_optics(max_dim: int = 5) -> CriterionResult:
     states += [haar_random_density(2, 600 + i) for i in range(20)]
     worst_prob = 0.0
     for rho in states:
-        probs = path_probabilities(pipe, rho)
+        probs = run_pipeline(pipe, rho)[0]
         expected = np.array(
             [np.real(s.conj() @ rho.mat @ s) / 2 for s in orbit]
         )

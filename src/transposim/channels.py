@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import _SHARED_MAX_DIM, COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap
+from .designs import (
+    _SHARED_MAX_DIM, COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap, _refuse_oversized,
+)
 from .errors import DomainError, NotTracePreserving, ParseError
 from .fileio import _integer, _matrix, _pairs, _read_json, write_json
 from .linalg import (
@@ -49,9 +51,6 @@ class Channel:
     d_out: int
     cj: Operator
     cptp: bool
-
-    def apply(self, m):
-        return apply_channel(self, m)
 
 
 @dataclass(frozen=True)
@@ -82,11 +81,12 @@ def _channel(cj: np.ndarray, d: int, expect_cptp: bool = True) -> Channel:
     return Channel(d, d, Operator(cj, (d, d)), cptp=psd_ok and tp_ok)
 
 
-def _check_dim(d) -> int:
-    """A channel dimension as an int: an integer (by `_as_int`) of at least 2."""
+def _check_dim(d, what: str = "a channel") -> int:
+    """A channel dimension as an int: an integer (by `_as_int`) from 2 to `designs.MAX_DIM`."""
     d = _as_int(d, "dimension")
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
+    _refuse_oversized(d, what)
     return d
 
 

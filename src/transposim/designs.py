@@ -21,9 +21,10 @@ from .linalg import Ket, _as_int, _frozen
 TWO_DESIGN_TOL = 1e-10
 COHERENCE_TOL = 1e-10
 SIC_OVERLAP_TOL = 1e-9
-# the two-design, SIC overlap and search certificate checks hold d^2 x d^2
-# matrices, about d^4 complex entries (268 MB at d = 64; the search objectives
-# hold d^3); larger dimensions are refused before anything is allocated
+# the two-design, SIC overlap and search certificate checks and the channels'
+# CJ matrices hold d^2 x d^2 matrices, about d^4 complex entries (268 MB at
+# d = 64; the search objectives hold d^3); larger dimensions are refused before
+# anything is allocated
 MAX_DIM = 64
 # `mub_prime` and `channels.approx_transpose` build and check one record per
 # dimension d <= 8, held for the life of the process and shared by every call:
@@ -45,6 +46,7 @@ class Fiducial:
     ket: Ket
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _as_int(self.d, "dimension"))
         if self.ket.dim != self.d:
             raise DomainError(f"fiducial vector has dimension {self.ket.dim}, expected {self.d}")
 
@@ -431,6 +433,7 @@ def fiducial_search(
     1e-10 of 2 d^3/(d+1) and every cross overlap within 1e-6 of 1/(d+1).  If
     `start` already certifies, it is returned unchanged.
     """
+    d = _as_int(d, "dimension")
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
     _refuse_oversized(d, "fiducial search")

@@ -101,11 +101,13 @@ def write_json(doc: dict, path: str) -> None:
     """Byte-stable JSON output: sorted keys, fixed indentation, trailing newline.
 
     Every file the package writes goes through here, so a path that cannot be
-    written (a missing directory, say) is a ParseError.
+    written (a missing directory, say) is a ParseError.  The document is
+    serialized before the target is opened: one that cannot be serialized
+    raises and leaves the target as it was.
     """
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     try:
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc

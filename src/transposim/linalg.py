@@ -163,6 +163,7 @@ class DensityMatrix:
 
 def basis_ket(d: int, i: int, dims=None) -> Ket:
     """Computational basis vector |i> in dimension d."""
+    d, i = _as_int(d, "dimension"), _as_int(i, "basis index")
     if not 0 <= i < d:
         raise IndexError(f"basis index {i} out of range for dimension {d}")
     v = np.zeros(d, dtype=complex)
@@ -290,6 +291,7 @@ def permute_subsystems(m: Operator, perm) -> Operator:
 
 def haar_random_ket(d: int, seed: int, dims=None) -> Ket:
     """Haar-random unit vector: normalized complex Gaussian, deterministic per seed."""
+    d = _as_int(d, "dimension")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
@@ -299,6 +301,7 @@ def haar_random_ket(d: int, seed: int, dims=None) -> Ket:
 
 def haar_random_density(d: int, seed: int, dims=None) -> DensityMatrix:
     """Random mixed state: reduced state of a Haar-random pure state on a doubled space."""
+    d = _as_int(d, "dimension")
     psi = haar_random_ket(d * d, seed, dims=(d, d))
     rho = partial_trace(outer(psi), keep=[0])
     return DensityMatrix(Operator(rho.mat, dims if dims is not None else (d,)))

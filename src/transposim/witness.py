@@ -21,6 +21,7 @@ from .linalg import (
     DensityMatrix,
     Ket,
     Operator,
+    _as_int,
     _check_hermitian,
     _check_index,
     partial_transpose,
@@ -88,8 +89,6 @@ class ApproxWitness:
     state: DensityMatrix
     p_min: float
     threshold: float
-    source: Witness | None = None
-    decomposition: SeparableDecomposition | None = None
     cut: tuple[int, ...] = (0,)
     metadata: dict = field(default_factory=dict)
 
@@ -115,7 +114,7 @@ class DetectionReport:
 
 def transpose_witness(d: int) -> Witness:
     """The swap-based witness V/d: unit trace, minimum eigenvalue -1/d."""
-    d = _check_dim(d)
+    d = _check_dim(d, "the transpose witness")
     return Witness(Operator(swap_operator(d).mat / d, (d, d)))
 
 
@@ -135,7 +134,7 @@ def aew(w: Witness) -> ApproxWitness:
     state = DensityMatrix(
         Operator((1.0 - p) * w.op.mat + p * np.eye(big_d) / big_d, w.dims)
     )
-    return ApproxWitness(state=state, p_min=p, threshold=p / big_d, source=w, cut=(0,))
+    return ApproxWitness(state=state, p_min=p, threshold=p / big_d, cut=(0,))
 
 
 def detect(
@@ -231,6 +230,7 @@ def locc_expectation(rho: DensityMatrix, dec: SeparableDecomposition) -> float:
 
 def ghz_ket(n: int, d: int) -> Ket:
     """sum_j |j>^(x n) / sqrt(d)."""
+    n, d = _as_int(n, "number of parties"), _as_int(d, "dimension")
     if n < 2 or d < 2:
         raise DomainError("GHZ state needs n >= 2 parties of dimension d >= 2")
     v = np.zeros(d**n, dtype=complex)
@@ -279,6 +279,7 @@ def multipartite_aew(n: int, d: int, cut: int, g: Design) -> ApproxWitness:
     the canonical operator are recorded in the metadata.  The detection
     threshold is 1/(d(d+1)).
     """
+    n, d = _as_int(n, "number of parties"), _as_int(d, "dimension")
     if n < 2:
         raise DomainError(f"need at least two parties, got {n}")
     try:
@@ -294,7 +295,6 @@ def multipartite_aew(n: int, d: int, cut: int, g: Design) -> ApproxWitness:
         state=state,
         p_min=p,
         threshold=1.0 / (d * (d + 1)),
-        source=None,
         cut=(cut,),
         metadata={
             "construction": "approximate transpose applied to the cut factor of GHZ",

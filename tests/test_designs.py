@@ -13,7 +13,9 @@ from transposim import (
     ParseError,
     SearchFailed,
     ValidationError,
+    approx_transpose,
     builtin_fiducial,
+    depolarize_to_identity,
     fiducial_search,
     frame_potential,
     hw_orbit,
@@ -27,9 +29,11 @@ from transposim import (
     save_fiducial,
     sic_from_fiducial,
     swap_operator,
+    transpose_map,
+    transpose_witness,
     two_design_frame_potential,
 )
-from transposim import designs
+from transposim import channels, designs, witness
 from transposim.designs import Fiducial, _orbit_fp_and_grad, _overlap_dev_and_grad
 from transposim.fileio import write_json
 from test_kernels import ref_weyl_pair
@@ -211,8 +215,13 @@ def save_oversized_design(path):
         lambda tmp: make_design(np.eye(65)),
         lambda tmp: save_oversized_design(tmp / "d65.json"),
         lambda tmp: sic_from_fiducial(Fiducial(101, Ket(np.eye(101)[0]))),
+        lambda tmp: approx_transpose(65),
+        lambda tmp: transpose_map(65),
+        lambda tmp: depolarize_to_identity(65),
+        lambda tmp: transpose_witness(65),
     ],
-    ids=["make_design", "load_design", "sic_from_fiducial"],
+    ids=["make_design", "load_design", "sic_from_fiducial", "approx_transpose", "transpose_map",
+         "depolarize_to_identity", "transpose_witness"],
 )
 def test_designs_beyond_dimension_64_are_refused_before_allocation(build, tmp_path, monkeypatch):
     def no_allocation(*args):
@@ -220,6 +229,11 @@ def test_designs_beyond_dimension_64_are_refused_before_allocation(build, tmp_pa
 
     monkeypatch.setattr(designs, "_pair_projector_sum", no_allocation)
     monkeypatch.setattr(designs, "hw_orbit", no_allocation)
+    # the channels' d^2 x d^2 CJ matrices
+    monkeypatch.setattr(channels, "_identity_plus_swap", no_allocation)
+    monkeypatch.setattr(channels, "swap_operator", no_allocation)
+    monkeypatch.setattr(channels, "_channel", no_allocation)
+    monkeypatch.setattr(witness, "swap_operator", no_allocation)
     with pytest.raises(DomainError, match="limited to dimension <= 64"):
         build(tmp_path)
 

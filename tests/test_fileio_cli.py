@@ -21,7 +21,7 @@ from transposim import (
     save_fiducial,
     save_state,
 )
-from transposim import acceptance, designs
+from transposim import acceptance, designs, fileio
 from transposim.cli import main
 
 
@@ -355,6 +355,15 @@ def test_cli_json_into_missing_directory_is_a_usage_error(tmp_path, capsys):
         save_design(mub_prime(2), str(report))
     with pytest.raises(ParseError):
         save_channel(approx_transpose(2), str(report))
+
+
+def test_a_document_that_cannot_be_serialized_leaves_the_target_as_it_was(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(DensityMatrix(np.eye(2) / 2), str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        fileio.write_json({"dims": [2], "matrix": object()}, str(path))
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("shots", ["0", "-3"])

@@ -32,7 +32,6 @@ from transposim import (
     make_design,
     measure_prepare_from_design,
     mub_prime,
-    path_probabilities,
     run_pipeline,
     sic_from_fiducial,
     simulate_circuit,
@@ -345,7 +344,6 @@ def test_pipeline_probabilities_match_loop(seed):
     effects = list(pipe.effect_stack)
     preps = list(pipe.prepared_stack)
     ref_probs, ref_out = ref_measure_and_prepare(effects, preps, rho.mat)
-    assert np.abs(path_probabilities(pipe, rho) - ref_probs).max() < TOL
     probs, out = run_pipeline(pipe, rho)
     assert np.abs(probs - ref_probs).max() < TOL
     assert np.abs(out.mat - ref_out).max() < TOL

@@ -36,9 +36,7 @@ EXPORTED = {
         "swap_operator",
     ],
     "optics": [
-        "Fig2Pipeline", "OpticalElement", "build_fig2_pipeline", "element_matrix", "hwp",
-        "output_channel", "path_probabilities", "pbs", "phase_report", "phase_shifter", "ppbs",
-        "run_pipeline",
+        "Fig2Pipeline", "build_fig2_pipeline", "output_channel", "phase_report", "run_pipeline",
     ],
     "twostep": [
         "CorrectionSet", "TwoStepMeasurement", "build_two_step", "correction_set",

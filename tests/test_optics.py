@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from transposim import (
+    CalibrationError,
     DensityMatrix,
     DomainError,
     apply_channel,
@@ -9,81 +10,22 @@ from transposim import (
     build_fig2_pipeline,
     builtin_fiducial,
     cj_distance,
-    element_matrix,
     haar_random_density,
     haar_random_ket,
     hw_orbit,
-    hwp,
     output_channel,
-    path_probabilities,
-    pbs,
     phase_free_distance,
     phase_report,
-    phase_shifter,
     pointwise_transpose_fidelity,
-    ppbs,
     run_pipeline,
+    save_state,
 )
-from transposim.optics import OpticalElement, coupler
+from transposim import optics
+from transposim.cli import main
 
 
 def trace_distance(a, b):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
-
-
-def test_hwp_at_22_5_degrees_is_fourier():
-    h = element_matrix(hwp(np.pi / 8)).mat
-    target = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    assert np.abs(h - target).max() < 1e-12
-
-
-def test_hwp_involution():
-    h = element_matrix(hwp(np.pi / 8)).mat
-    assert np.abs(h @ h - np.eye(2)).max() < 1e-12
-
-
-def test_hwp_at_zero():
-    h = element_matrix(hwp(0.0)).mat
-    assert np.abs(h - np.diag([1.0, -1.0])).max() < 1e-12
-
-
-def test_ppbs_with_published_amplitudes_is_unitary():
-    alphas = builtin_fiducial(2).alphas
-    e = ppbs(t_v=alphas[0], r_v=alphas[1])
-    m = element_matrix(e).mat
-    assert np.abs(m.conj().T @ m - np.eye(4)).max() < 1e-12
-    assert abs(abs(e.params["t_v"]) ** 2 + abs(e.params["r_v"]) ** 2 - 1.0) < 1e-12
-    assert e.params["t_h"] == e.params["r_v"]
-    assert e.params["r_h"] == e.params["t_v"]
-
-
-def test_ppbs_rejects_unnormalized():
-    with pytest.raises(DomainError):
-        ppbs(t_v=1.0, r_v=1.0)
-
-
-def test_pbs_routes_polarizations():
-    m = element_matrix(pbs()).mat
-    # horizontal keeps its path, vertical swaps paths
-    assert np.abs(m @ np.eye(4)[:, 0] - np.eye(4)[:, 0]).max() == 0.0  # |0,h>
-    assert np.abs(m @ np.eye(4)[:, 1] - np.eye(4)[:, 3]).max() == 0.0  # |0,v> -> |1,v>
-    assert np.abs(m.conj().T @ m - np.eye(4)).max() < 1e-12
-
-
-def test_phase_shifter():
-    m = element_matrix(phase_shifter(np.pi / 2)).mat
-    assert np.abs(m - np.diag([1.0, 1j])).max() < 1e-12
-    assert np.abs(m.conj().T @ m - np.eye(2)).max() < 1e-12
-
-
-def test_coupler_has_no_matrix():
-    with pytest.raises(DomainError):
-        element_matrix(coupler())
-
-
-def test_unknown_element_kind():
-    with pytest.raises(DomainError):
-        element_matrix(OpticalElement("LENS", (0,), None))
 
 
 def test_pipeline_path_probabilities_match_projectors():
@@ -92,7 +34,7 @@ def test_pipeline_path_probabilities_match_projectors():
     orbit = hw_orbit(f)
     for i in range(30):
         rho = haar_random_density(2, 7000 + i)
-        probs = path_probabilities(pipe, rho)
+        probs = run_pipeline(pipe, rho)[0]
         want = np.array([np.real(s.conj() @ rho.mat @ s) / 2 for s in orbit])
         assert np.abs(probs - want).max() < 1e-12
         assert abs(probs.sum() - 1.0) < 1e-12
@@ -100,16 +42,19 @@ def test_pipeline_path_probabilities_match_projectors():
 
 def test_pipeline_uniform_input():
     pipe = build_fig2_pipeline(builtin_fiducial(2))
-    probs = path_probabilities(pipe, DensityMatrix(np.eye(2) / 2))
+    probs = run_pipeline(pipe, DensityMatrix(np.eye(2) / 2))[0]
     assert np.abs(probs - 0.25).max() < 1e-12
 
 
 def test_path_states_before_correction_are_orbit_states():
+    # the state on path p before its phase shifter is the one its effect projects on
     f = builtin_fiducial(2)
     pipe = build_fig2_pipeline(f)
     orbit = hw_orbit(f)
-    for k, s in zip(pipe.analyzer_states, orbit):
-        assert phase_free_distance(k.vec, s) < 1e-10
+    for effect, s in zip(pipe.effect_stack, orbit):
+        vals, vecs = np.linalg.eigh(2 * effect)
+        assert np.abs(vals - [0.0, 1.0]).max() < 1e-12
+        assert phase_free_distance(vecs[:, 1], s) < 1e-10
 
 
 def test_prepared_states_are_conjugates():
@@ -171,3 +116,26 @@ def test_solved_phases_are_half_pi():
 def test_pipeline_rejects_non_qubit():
     with pytest.raises(DomainError):
         build_fig2_pipeline(builtin_fiducial(3))
+
+
+def miscalibrate(monkeypatch):
+    """Offset every solved phase by 0.5 rad, so no path state is conjugated."""
+    solve = optics._solve_conjugation_phase
+    monkeypatch.setattr(optics, "_solve_conjugation_phase", lambda s: solve(s) + 0.5)
+
+
+def test_a_phase_that_misses_the_conjugate_is_a_calibration_error(monkeypatch):
+    miscalibrate(monkeypatch)
+    with pytest.raises(CalibrationError, match="path 0: no phase shifter setting"):
+        build_fig2_pipeline(builtin_fiducial(2))
+
+
+def test_cli_apply_on_a_qubit_exits_1_on_a_calibration_miss(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    save_state(DensityMatrix(np.diag([1.0, 0.0])), str(path))
+    miscalibrate(monkeypatch)
+    assert main(["apply-approx-transpose", "--state", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: path 0: no phase shifter setting")
+    assert captured.err.count("\n") == 1

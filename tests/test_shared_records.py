@@ -14,13 +14,24 @@ import pytest
 
 from transposim import (
     DomainError,
+    Fiducial,
+    Ket,
     NotPrimeError,
     approx_transpose,
+    basis_ket,
     builtin_fiducial,
     depolarize_to_identity,
+    fiducial_search,
+    ghz_ket,
+    haar_random_density,
+    haar_random_ket,
     load_channel,
+    load_fiducial,
     mub_prime,
+    multipartite_aew,
     save_channel,
+    save_fiducial,
+    sic_from_fiducial,
     transpose_map,
     transpose_witness,
 )
@@ -28,6 +39,36 @@ from transposim import channels, designs
 
 SHARED_DIMS = range(2, 9)
 MUB_DIMS = (2, 3, 5, 7)
+
+
+def fiducial_of_dimension(d):
+    return Fiducial(d, Ket([1, 0]))
+
+
+def fiducial_search_at_seed_0(d):
+    return fiducial_search(d, 0)
+
+
+def ghz_ket_of_two_parties(d):
+    return ghz_ket(2, d)
+
+
+def haar_random_ket_at_seed_0(d):
+    return haar_random_ket(d, 0)
+
+
+def haar_random_density_at_seed_0(d):
+    return haar_random_density(d, 0)
+
+
+def basis_ket_0(d):
+    return basis_ket(d, 0)
+
+
+def multipartite_aew_of_two_parties(d):
+    return multipartite_aew(2, d, 0, sic_from_fiducial(builtin_fiducial(2)))
+
+
 # each constructor that takes a dimension, and where its result records it
 DIMENSION_OF = {
     approx_transpose: lambda ch: ch.d_in,
@@ -36,6 +77,20 @@ DIMENSION_OF = {
     transpose_witness: lambda w: w.dims[0],
     builtin_fiducial: lambda f: f.d,
     mub_prime: lambda g: g.d,
+    fiducial_of_dimension: lambda f: f.d,
+    fiducial_search_at_seed_0: lambda f: f.d,
+    ghz_ket_of_two_parties: lambda k: k.dims[0],
+    haar_random_ket_at_seed_0: lambda k: k.dim,
+    haar_random_density_at_seed_0: lambda rho: rho.dims[0],
+    basis_ket_0: lambda k: k.dim,
+    multipartite_aew_of_two_parties: lambda a: a.state.dims[0],
+}
+# each constructor that takes a number of parties, and where its result records it
+PARTIES_OF = {
+    ghz_ket: lambda n: ghz_ket(n, 2).dims,
+    multipartite_aew: lambda n: multipartite_aew(
+        n, 2, 0, sic_from_fiducial(builtin_fiducial(2))
+    ).state.dims,
 }
 
 
@@ -126,6 +181,26 @@ def test_a_numpy_integer_dimension_becomes_an_int(build):
     assert d == 2 and type(d) is int
 
 
+@pytest.mark.parametrize("i", [0.0, True, False, None])
+def test_a_basis_index_that_is_not_an_integer_is_a_domain_error(i):
+    # True indexed every entry: basis_ket(2, True) was the unnormalized (1, 1)
+    with pytest.raises(DomainError, match="basis index must be an integer"):
+        basis_ket(2, i)
+
+
+@pytest.mark.parametrize("build", PARTIES_OF, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", [2.0, 3.0, True, "2", None])
+def test_a_number_of_parties_that_is_not_an_integer_is_a_domain_error(build, n):
+    with pytest.raises(DomainError, match="number of parties must be an integer"):
+        PARTIES_OF[build](n)
+
+
+@pytest.mark.parametrize("build", PARTIES_OF, ids=lambda f: f.__name__)
+def test_a_numpy_integer_number_of_parties_becomes_an_int(build):
+    dims = PARTIES_OF[build](np.int64(3))
+    assert dims == (2, 2, 2) and all(type(d) is int for d in dims)
+
+
 def test_a_numpy_integer_dimension_never_reaches_the_shared_record():
     channels._approx_transpose.cache_clear()
     assert type(approx_transpose(np.int64(3)).d_in) is int
@@ -140,12 +215,25 @@ def test_a_channel_built_from_a_numpy_integer_saves_as_json(tmp_path):
     assert_same_channel(load_channel(str(path)), approx_transpose(2))
 
 
+def test_a_fiducial_built_from_a_numpy_integer_round_trips(tmp_path):
+    f = builtin_fiducial(2)
+    path, plain = tmp_path / "f.json", tmp_path / "plain.json"
+    save_fiducial(Fiducial(np.int64(2), f.ket), str(path))
+    save_fiducial(f, str(plain))
+    assert path.read_bytes() == plain.read_bytes()
+    back = load_fiducial(str(path))
+    assert back.d == 2 and type(back.d) is int
+    assert back.ket.vec.tobytes() == f.ket.vec.tobytes()
+
+
 def test_the_dimension_checks_run_in_order():
     # the integer rule first, then the lower bound, the size limit and primality
     with pytest.raises(DomainError, match="must be an integer"):
         approx_transpose(1.0)
     with pytest.raises(DomainError, match=">= 2"):
         approx_transpose(np.int64(1))
+    with pytest.raises(DomainError, match="limited to dimension <= 64"):
+        approx_transpose(np.int64(65))
     with pytest.raises(DomainError, match="must be an integer"):
         mub_prime(100.0)
     with pytest.raises(DomainError, match="limited to dimension <= 64"):
