@@ -85,7 +85,7 @@ DIMENSION_OF = {
     basis_ket_0: lambda k: k.dim,
     multipartite_aew_of_two_parties: lambda a: a.state.dims[0],
 }
-# each constructor that takes a number of parties, and where its result records it
+# each constructor that takes a number of parties n: the dims of its result for n qubits
 PARTIES_OF = {
     ghz_ket: lambda n: ghz_ket(n, 2).dims,
     multipartite_aew: lambda n: multipartite_aew(
