@@ -6,7 +6,7 @@ E[rho] = d * tr_ref{ chi (rho^T (x) I) }.  Kraus views are derived on demand
 from the CJ eigendecomposition.
 
 The kernels work on stacked arrays rather than one operator at a time: a
-measure-and-prepare CJ matrix is one (N, d^2)^T @ (N, d^2) product of the
+measure-and-prepare CJ matrix is one design sum `linalg._kron_sum` of the
 stacked E_k^T and |p_k><p_k|, `_measure_and_prepare` applies a
 measure-and-prepare pair to a state for the two-step circuit and the optics
 pipeline, and `apply_to_factor` contracts the stacked Kraus operators with the
@@ -27,7 +27,8 @@ from .designs import (
 from .errors import DomainError, NotTracePreserving, ParseError
 from .fileio import _integer, _matrix, _pairs, _read_json, write_json
 from .linalg import (
-    DensityMatrix, Ket, Operator, _as_int, _check_index, _frozen, _psd_violation, swap_operator,
+    DensityMatrix, Ket, Operator, _as_int, _check_index, _check_unit_norm, _frozen, _kron_sum,
+    _psd_violation, swap_operator,
 )
 
 CJ_TOL = 1e-10
@@ -209,11 +210,8 @@ def channel_from_measure_prepare(mp: MeasurePrepare) -> Channel:
     if float(np.abs(effects.sum(axis=0) - np.eye(d)).max()) > 1e-10:
         raise DomainError("effects do not sum to the identity")
     projectors = preps[:, :, None] * preps[:, None, :].conj()
-    # (I (x) E)[|phi+><phi+|] = sum_k E_k^T / d (x) |p_k><p_k|; the product
-    # below holds it as [(a, c), (b, e)] for the kron entry [(a, b), (c, e)]
-    t = effects.transpose(0, 2, 1).reshape(n, d * d).T @ projectors.reshape(n, d * d)
-    cj = (t / d).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return _channel(cj, d)
+    # (I (x) E)[|phi+><phi+|] = sum_k E_k^T / d (x) |p_k><p_k|
+    return _channel(_kron_sum(effects.transpose(0, 2, 1), projectors) / d, d)
 
 
 def _measure_and_prepare(
@@ -230,8 +228,7 @@ def pointwise_transpose_fidelity(e: Channel, psi: Ket) -> float:
     """<psi*| E[|psi><psi|] |psi*>, the conjugation fidelity on a pure state."""
     if not e.cptp:
         raise DomainError("fidelity is defined for CPTP channels")
-    if abs(psi.norm() - 1.0) > 1e-12:
-        raise DomainError("input state must be normalized")
+    _check_unit_norm(psi.norm())
     out = apply_channel(e, Operator(np.outer(psi.vec, psi.vec.conj())))
     target = psi.vec.conj()
     return float(np.real(target.conj() @ out.mat @ target))

@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NotPrimeError, NotSICError, ParseError, SearchFailed, ValidationError
+from .errors import DomainError, NotPrimeError, NotSICError, ParseError, SearchFailed
 from .fileio import _integer, _pairs, _read_json, _vector, write_json
-from .linalg import Ket, _as_int, _frozen
+from .linalg import Ket, _as_int, _as_seed, _check_unit_norm, _frozen
 
 TWO_DESIGN_TOL = 1e-10
 COHERENCE_TOL = 1e-10
@@ -120,10 +120,7 @@ def make_design(vectors, kind: str = "custom") -> Design:
     if not n:
         raise DomainError("a design needs at least one vector")
     _refuse_oversized(d, "a design")
-    norm_dev = np.abs(np.linalg.norm(arr, axis=1) - 1.0)
-    bad = np.flatnonzero(norm_dev > 1e-12)
-    if bad.size:
-        raise ValidationError("norm", float(norm_dev[bad[0]]))
+    _check_unit_norm(np.linalg.norm(arr, axis=1))
     if n_same < n:
         raise DomainError(f"vector {n_same} has dimension {kets[n_same].dim}, expected {d}")
     res2 = two_design_residual(arr, d)
@@ -196,8 +193,7 @@ def _overlap_law(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _sic_orbit(f: Fiducial) -> np.ndarray:
     """The (d^2, d) orbit of a unit fiducial, checked against the SIC overlap law."""
-    if abs(f.ket.norm() - 1.0) > 1e-12:
-        raise ValidationError("norm", abs(f.ket.norm() - 1.0))
+    _check_unit_norm(f.ket.norm())
     d = f.d
     _refuse_oversized(d, "a SIC orbit")
     vecs = hw_orbit(f)
@@ -437,6 +433,7 @@ def fiducial_search(
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
     _refuse_oversized(d, "fiducial search")
+    seed = _as_seed(seed)
     if start is not None:
         excess, dev = orbit_certificate(start)
         if abs(excess) < FP_EXCESS_TOL and dev < OVERLAP_DEV_TOL:
@@ -499,10 +496,7 @@ def save_fiducial(f: Fiducial, path: str) -> None:
 def load_fiducial(path: str) -> Fiducial:
     d, vecs = _load_vectors(path)
     # a design file's norms are checked by make_design, on the stack
-    for v in vecs:
-        dev = abs(float(np.linalg.norm(v)) - 1.0)
-        if dev > 1e-12:
-            raise ValidationError("norm", dev)
+    _check_unit_norm([np.linalg.norm(v) for v in vecs])
     if len(vecs) != 1:
         raise ParseError(f"{path}: a fiducial file holds exactly one vector, found {len(vecs)}")
     return Fiducial(d, Ket(vecs[0]))

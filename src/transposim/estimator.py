@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import DensityMatrix, real_trace_product
+from .linalg import DensityMatrix, _as_int, _as_seed, real_trace_product
 from .witness import ApproxWitness
 
 
@@ -47,6 +47,7 @@ def hoeffding_epsilon(shots: int, level: float) -> float:
     """One-sided Hoeffding deviation for the overlap estimate at the given level."""
     if not 0.0 < level < 1.0:
         raise DomainError(f"confidence level must lie in (0, 1), got {level}")
+    shots = _as_int(shots, "shot count")
     if shots < 1:
         raise DomainError(f"shot count must be >= 1, got {shots}")
     return 2.0 * np.sqrt(np.log(1.0 / (1.0 - level)) / (2.0 * shots))
@@ -59,9 +60,15 @@ def sample_overlap(
     seed: int,
     level: float = 0.95,
 ) -> ShotResult:
-    """Simulate the ancilla statistics for `shots` repetitions, seeded."""
+    """Simulate the ancilla statistics for `shots` repetitions, seeded.
+
+    `shots` and `seed` follow the integer rule of `linalg._as_int`; a seed
+    must also be >= 0.
+    """
+    shots = _as_int(shots, "shot count")
     if shots < 1:
         raise DomainError(f"shot count must be >= 1, got {shots}")
+    seed = _as_seed(seed)
     p0 = swap_test_probability(rho, sigma)
     p0 = min(1.0, max(0.0, p0))
     rng = np.random.default_rng(seed)

@@ -197,6 +197,14 @@ def kron_ket(a: Ket, b: Ket) -> Ket:
     return Ket(np.kron(a.vec, b.vec), a.dims + b.dims)
 
 
+def _kron_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The design sum sum_k left_k (x) right_k of stacks (N, a, a) and (N, b, b), as one product."""
+    n, a, b = len(left), left.shape[1], right.shape[1]
+    # the product holds the kron entry [(i, k), (j, l)] at [(i, j), (k, l)]
+    t = left.reshape(n, a * a).T @ right.reshape(n, b * b)
+    return t.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
+
+
 def _as_int(value, what: str) -> int:
     """`value` as a plain int: the one integer rule for factor indices and dimensions.
 
@@ -208,6 +216,22 @@ def _as_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_seed(seed) -> int:
+    """A random seed as an int: an integer by `_as_int`, and >= 0 (else DomainError)."""
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _check_unit_norm(norms) -> None:
+    """Raise ValidationError("norm", deviation) at the first norm off 1 by more than NORM_TOL."""
+    dev = np.abs(np.ravel(norms) - 1.0)
+    bad = np.flatnonzero(dev > NORM_TOL)
+    if bad.size:
+        raise ValidationError("norm", float(dev[bad[0]]))
 
 
 def _check_index(s, dims: tuple[int, ...]) -> int:
@@ -294,7 +318,7 @@ def haar_random_ket(d: int, seed: int, dims=None) -> Ket:
     d = _as_int(d, "dimension")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return Ket(v / np.linalg.norm(v), dims)
 

@@ -10,7 +10,7 @@ variant applies the approximate transpose to one factor of a GHZ state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .linalg import (
     _as_int,
     _check_hermitian,
     _check_index,
+    _frozen,
+    _kron_sum,
     partial_transpose,
     permute_subsystems,
     real_trace_product,
@@ -55,31 +57,35 @@ class Witness:
 
 @dataclass(frozen=True)
 class SeparableDecomposition:
-    """Convex product decomposition sum_k q_k tau_k (x) sigma_k."""
+    """Convex product decomposition sum_k q_k tau_k (x) sigma_k.
+
+    Held as read-only stacks: `weights` (N,), `left_stack` (N, a, a), `right_stack` (N, b, b).
+    """
 
     weights: np.ndarray
-    left: tuple[DensityMatrix, ...]
-    right: tuple[DensityMatrix, ...]
+    left_stack: np.ndarray
+    right_stack: np.ndarray
 
-    def __init__(self, weights, left, right):
-        weights = np.asarray(weights, dtype=float)
+    def __init__(self, weights, left_stack, right_stack):
+        weights = np.array(weights, dtype=float)
         if np.any(weights < 0):
             raise DomainError("decomposition weights must be nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise DomainError(f"decomposition weights sum to {weights.sum():.15g}, expected 1")
-        if not (len(left) == len(right) == weights.size):
-            raise DomainError("weights and factor lists must have equal length")
+        left, right = _frozen(left_stack), _frozen(right_stack)
+        for stack in (left, right):
+            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+                raise DomainError(f"a factor stack must be (N, a, a), got shape {stack.shape}")
+        if not (len(left) == len(right) and weights.shape == (len(left),)):
+            raise DomainError("weights and factor stacks must have equal length")
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "left", tuple(left))
-        object.__setattr__(self, "right", tuple(right))
+        object.__setattr__(self, "left_stack", left)
+        object.__setattr__(self, "right_stack", right)
 
     def reconstruct(self) -> Operator:
-        total = sum(
-            q * np.kron(t.mat, s.mat)
-            for q, t, s in zip(self.weights, self.left, self.right)
-        )
-        return Operator(total, self.left[0].dims + self.right[0].dims)
+        total = _kron_sum(self.weights[:, None, None] * self.left_stack, self.right_stack)
+        return Operator(total, (self.left_stack.shape[1], self.right_stack.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,6 @@ class ApproxWitness:
     p_min: float
     threshold: float
     cut: tuple[int, ...] = (0,)
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -204,9 +209,9 @@ def separable_decomposition_of_transpose_aew(g: Design) -> SeparableDecompositio
         raise DomainError(
             f"design fails the required checks (two-design {res2:.3e}, coherence {resc:.3e})"
         )
-    d, n = g.d, g.n
-    factors = tuple(DensityMatrix(np.outer(v, v.conj())) for v in g.vector_stack)
-    dec = SeparableDecomposition(np.full(n, 1.0 / n), factors, factors)
+    d, n, arr = g.d, g.n, g.vector_stack
+    projectors = arr[:, :, None] * arr[:, None, :].conj()
+    dec = SeparableDecomposition(np.full(n, 1.0 / n), projectors, projectors)
     resid = float(np.linalg.norm(dec.reconstruct().mat - _identity_plus_swap(d)))
     if resid >= TWO_DESIGN_TOL:
         raise DomainError(f"decomposition fails to reconstruct the target ({resid:.3e})")
@@ -215,17 +220,15 @@ def separable_decomposition_of_transpose_aew(g: Design) -> SeparableDecompositio
 
 def locc_expectation(rho: DensityMatrix, dec: SeparableDecomposition) -> float:
     """sum_k q_k tr{rho (tau_k (x) sigma_k)}: the locally measurable detection value."""
-    d_left = dec.left[0].dim
-    d_right = dec.right[0].dim
+    d_left, d_right = dec.left_stack.shape[1], dec.right_stack.shape[1]
     if rho.dim != d_left * d_right:
         raise DomainError(
             f"state dimension {rho.dim} does not match decomposition ({d_left}x{d_right})"
         )
     r = rho.mat.reshape(d_left, d_right, d_left, d_right)
-    total = 0.0
-    for q, tau, sig in zip(dec.weights, dec.left, dec.right):
-        total += q * float(np.real(np.einsum("abcd,ca,db->", r, tau.mat, sig.mat)))
-    return total
+    # the N local values, term by term: the reconstructed operator is never read
+    local = np.einsum("abcd,kca,kdb->k", r, dec.left_stack, dec.right_stack).real
+    return float((dec.weights * local).sum())
 
 
 def ghz_ket(n: int, d: int) -> Ket:
@@ -239,45 +242,41 @@ def ghz_ket(n: int, d: int) -> Ket:
     return Ket(v, (d,) * n)
 
 
-def _closed_form_term(s: np.ndarray, n: int, d: int, conjugate_cut: bool) -> np.ndarray:
-    """|s><s| (cut factor) (x) |psi_s><psi_s| (rest), cut factor leading."""
-    psi = np.zeros(d ** (n - 1), dtype=complex)
-    step = (d ** (n - 1) - 1) // (d - 1)  # flat index stride of |j...j> on n-1 factors
-    psi[np.arange(d) * step] = s.conj()
-    cut_vec = s.conj() if conjugate_cut else s
-    return np.kron(np.outer(cut_vec, cut_vec.conj()), np.outer(psi, psi.conj()))
+def _check_sic(g: Design, d: int) -> None:
+    if g.d != d or g.n != d * d:
+        raise DomainError(f"need a SIC design with d^2 = {d * d} vectors in dimension {d}")
 
 
 def multipartite_closed_forms(
     n: int, d: int, cut: int, g: Design
 ) -> tuple[Operator, Operator]:
-    """Rank-1 design-sum assemblies of the multipartite witness state.
+    """Rank-1 design-sum assemblies of the multipartite witness state: (plain, conjugated).
 
-    Returns the two conjugation placements of the cut factor (plain and
-    conjugated), each reordered so the cut factor sits at its party position.
+    Each is sum_k |c_k><c_k| (x) |psi_k><psi_k| / d^2 over the SIC vectors s_k,
+    psi_k = sum_j conj(s_k)_j |j...j>, with c_k = s_k (plain) or conj(s_k)
+    (conjugated), reordered so the cut factor sits at its party position.
     """
-    if g.d != d or g.n != d * d:
-        raise DomainError(f"need a SIC design with d^2 = {d * d} vectors in dimension {d}")
+    _check_sic(g, d)
     dims = (d,) * n
     cut = _check_index(cut, dims)
-    out = []
-    for conj_cut in (False, True):
-        total = sum(_closed_form_term(s, n, d, conj_cut) for s in g.vector_stack) / (d * d)
-        op = Operator(total, (d,) + (d,) * (n - 1))
-        cur = [cut] + [i for i in range(n) if i != cut]
-        op = permute_subsystems(op, [cur.index(q) for q in range(n)])
-        out.append(Operator(op.mat, dims))
-    return out[0], out[1]
+    arr = g.vector_stack
+    psi = np.zeros((len(arr), d ** (n - 1)), dtype=complex)
+    step = (d ** (n - 1) - 1) // (d - 1)  # flat index stride of |j...j> on n-1 factors
+    psi[:, np.arange(d) * step] = arr.conj()
+    rest = psi[:, :, None] * psi[:, None, :].conj()
+    plain = arr[:, :, None] * arr[:, None, :].conj()
+    perm = [*range(1, cut + 1), 0, *range(cut + 1, n)]           # the cut factor leaves the front
+    return tuple(permute_subsystems(Operator(_kron_sum(c, rest) / (d * d), dims), perm)
+                 for c in (plain, plain.conj()))
 
 
 def multipartite_aew(n: int, d: int, cut: int, g: Design) -> ApproxWitness:
     """Witness state for the cut-vs-rest splitting of an n-party system.
 
-    The canonical construction applies the approximate transpose to the cut
-    factor of the GHZ state; the equivalent rank-1 design sums (both
-    conjugation placements) are assembled independently and their distances to
-    the canonical operator are recorded in the metadata.  The detection
-    threshold is 1/(d(d+1)).
+    The construction applies the approximate transpose to the cut factor of
+    the GHZ state.  `g` must be a SIC in dimension d, the design that
+    `multipartite_closed_forms` sums over; the state does not depend on it.
+    The detection threshold is 1/(d(d+1)).
     """
     n, d = _as_int(n, "number of parties"), _as_int(d, "dimension")
     if n < 2:
@@ -286,22 +285,11 @@ def multipartite_aew(n: int, d: int, cut: int, g: Design) -> ApproxWitness:
         cut = _check_index(cut, (d,) * n)
     except IndexError:
         raise DomainError(f"cut index {cut} out of range for {n} parties") from None
+    _check_sic(g, d)
     ghz = ghz_ket(n, d)
     ghz_dm = DensityMatrix(np.outer(ghz.vec, ghz.vec.conj()), dims=(d,) * n)
     state = apply_to_factor(approx_transpose(d), ghz_dm, cut)
-    plain, conj = multipartite_closed_forms(n, d, cut, g)
-    p = d / (d + 1.0)
-    return ApproxWitness(
-        state=state,
-        p_min=p,
-        threshold=1.0 / (d * (d + 1)),
-        cut=(cut,),
-        metadata={
-            "construction": "approximate transpose applied to the cut factor of GHZ",
-            "design_sum_residual_plain": float(np.linalg.norm(plain.mat - state.mat)),
-            "design_sum_residual_conjugated": float(np.linalg.norm(conj.mat - state.mat)),
-        },
-    )
+    return ApproxWitness(state, p_min=d / (d + 1.0), threshold=1.0 / (d * (d + 1)), cut=(cut,))
 
 
 _CUT_LABELS = {0: "A|BC", 1: "B|CA", 2: "C|AB"}

@@ -5,6 +5,7 @@ first call for a d <= 8 (d^2 <= 64, the package's total-dimension limit) and
 return that same read-only record on every later call.  The dimension is
 checked on every call, before the shared record is looked up, so a refusal is
 raised again each time and a numpy integer cannot plant itself in the record.
+Seeds and shot counts follow the same integer rule, and a seed must be >= 0.
 """
 
 import json
@@ -13,29 +14,37 @@ import numpy as np
 import pytest
 
 from transposim import (
+    DensityMatrix,
     DomainError,
     Fiducial,
     Ket,
     NotPrimeError,
+    ValidationError,
+    aew,
     approx_transpose,
     basis_ket,
     builtin_fiducial,
     depolarize_to_identity,
+    detect_with_confidence,
     fiducial_search,
     ghz_ket,
     haar_random_density,
     haar_random_ket,
+    hoeffding_epsilon,
     load_channel,
     load_fiducial,
+    make_design,
     mub_prime,
     multipartite_aew,
+    pointwise_transpose_fidelity,
+    sample_overlap,
     save_channel,
     save_fiducial,
     sic_from_fiducial,
     transpose_map,
     transpose_witness,
 )
-from transposim import channels, designs
+from transposim import channels, designs, fileio
 
 SHARED_DIMS = range(2, 9)
 MUB_DIMS = (2, 3, 5, 7)
@@ -238,3 +247,77 @@ def test_the_dimension_checks_run_in_order():
         mub_prime(100.0)
     with pytest.raises(DomainError, match="limited to dimension <= 64"):
         mub_prime(np.int64(100))
+
+
+def qubit_pair():
+    rho = DensityMatrix(np.diag([0.5, 0.25, 0.25, 0.0]), dims=(2, 2))
+    return rho, aew(transpose_witness(2))
+
+
+def overlap(shots, seed):
+    rho, a = qubit_pair()
+    return sample_overlap(rho, a.state, shots, seed)
+
+
+# each entry point that takes a seed or a shot count, as a function of that value
+SEEDED = {
+    "haar_random_ket seed": lambda v: haar_random_ket(2, v).vec.tobytes(),
+    "haar_random_density seed": lambda v: haar_random_density(2, v).mat.tobytes(),
+    "fiducial_search seed": lambda v: fiducial_search(2, seed=v).ket.vec.tobytes(),
+    "sample_overlap seed": lambda v: overlap(50, v),
+    "sample_overlap shots": lambda v: overlap(v, 0),
+    "detect_with_confidence seed": lambda v: detect_with_confidence(*qubit_pair(), 50, v),
+    "detect_with_confidence shots": lambda v: detect_with_confidence(*qubit_pair(), v, 0),
+    "hoeffding_epsilon shots": lambda v: hoeffding_epsilon(v, 0.95),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+@pytest.mark.parametrize("value", [0.5, 2.5, True, -1])
+def test_a_seed_or_shot_count_that_is_not_a_nonnegative_integer_is_a_domain_error(name, value):
+    # 0.5 ended in numpy's TypeError, -1 in its ValueError, and shots=2.5 was kept
+    with pytest.raises(DomainError):
+        SEEDED[name](value)
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_a_numpy_integer_seed_or_shot_count_acts_as_the_int(name):
+    assert SEEDED[name](np.int64(3)) == SEEDED[name](3)
+
+
+def test_a_numpy_integer_shot_count_is_recorded_as_an_int():
+    assert type(overlap(np.int64(3), 0).shots) is int
+    assert type(detect_with_confidence(*qubit_pair(), np.int64(3), 0).shot_result.shots) is int
+
+
+def off_norm(dev):
+    """The d = 2 SIC fiducial scaled to squared norm 1 + dev."""
+    return builtin_fiducial(2).ket.vec * np.sqrt(1.0 + dev)
+
+
+def load_fiducial_of(vec, tmp_path):
+    path = tmp_path / "f.json"
+    fileio.write_json({"dim": 2, "vectors": [[[z.real, z.imag] for z in vec]]}, str(path))
+    return load_fiducial(str(path))
+
+
+# each site that checks a unit norm, as a function of the vector
+UNIT_NORM_SITES = {
+    "make_design": lambda v, tmp: make_design(np.array([v, [0, 1]])),
+    "sic_from_fiducial": lambda v, tmp: sic_from_fiducial(Fiducial(2, Ket(v))),
+    "load_fiducial": load_fiducial_of,
+    "pointwise_transpose_fidelity": lambda v, tmp: pointwise_transpose_fidelity(
+        approx_transpose(2), Ket(v)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", UNIT_NORM_SITES)
+def test_every_unit_norm_check_follows_one_rule(name, tmp_path):
+    # one tolerance, 1e-12 on |norm - 1|, and one error naming the deviation
+    UNIT_NORM_SITES[name](off_norm(1e-13), tmp_path)
+    vec = off_norm(1e-9)
+    with pytest.raises(ValidationError) as err:
+        UNIT_NORM_SITES[name](vec, tmp_path)
+    assert err.value.check == "norm"
+    assert err.value.residual == abs(float(np.linalg.norm(vec)) - 1.0)

@@ -234,8 +234,6 @@ def test_bipartite_multipartite_aew_reduces_to_cj_state():
 def test_multipartite_closed_form_conjugated_variant_matches_oracle():
     g = sic_from_fiducial(builtin_fiducial(2))
     a = multipartite_aew(3, 2, 0, g)
-    assert a.metadata["design_sum_residual_conjugated"] < 1e-10
-    assert a.metadata["design_sum_residual_plain"] > 1e-3
     plain, conj = multipartite_closed_forms(3, 2, 0, g)
     assert np.linalg.norm(conj.mat - a.state.mat) < 1e-10
     # the plain variant is the partial transpose of the oracle on the cut factor
