@@ -28,7 +28,7 @@ from .errors import DomainError, NotTracePreserving, ParseError
 from .fileio import _integer, _matrix, _pairs, _read_json, write_json
 from .linalg import (
     DensityMatrix, Ket, Operator, _as_int, _check_index, _check_unit_norm, _frozen, _kron_sum,
-    _psd_violation, swap_operator,
+    _memo, _psd_violation, swap_operator,
 )
 
 CJ_TOL = 1e-10
@@ -188,8 +188,14 @@ def measure_prepare_from_design(g: Design) -> tuple[MeasurePrepare, Channel]:
 
     Effects are (d/N)|x_k><x_k| (the unique trace-preserving weights), the
     prepared states are the complex conjugates |x_k*>.  The induced channel is
-    the approximate transpose, independent of which design was used.
+    the approximate transpose, independent of which design was used.  The
+    first call on a design builds and checks the pair, and every later call
+    returns that one tuple; a refused design is refused again on every call.
     """
+    return _memo(g, "_measure_prepare", _measure_prepare_from_design)
+
+
+def _measure_prepare_from_design(g: Design) -> tuple[MeasurePrepare, Channel]:
     res2, resc = g.two_design_residual, g.coherence_residual
     if res2 >= TWO_DESIGN_TOL:
         raise DomainError(f"design fails the two-design check (residual {res2:.3e})")

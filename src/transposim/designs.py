@@ -29,7 +29,8 @@ MAX_DIM = 64
 # `mub_prime` and `channels.approx_transpose` build and check one record per
 # dimension d <= 8, held for the life of the process and shared by every call:
 # d^2 <= 64 is the package's limit on total dimension, and the records so held
-# take about 150 KB.  A larger d is built afresh on every call.
+# take about 150 KB (about 270 KB once each MUB set holds its measure-and-prepare
+# pair).  A larger d is built afresh on every call.
 _SHARED_MAX_DIM = 8
 
 
@@ -40,7 +41,10 @@ def _refuse_oversized(d: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class Fiducial:
-    """Seed vector whose Heisenberg-Weyl orbit is intended to be a SIC family."""
+    """Seed vector whose Heisenberg-Weyl orbit is intended to be a SIC family.
+
+    `twostep.build_two_step` holds the factorization it builds on the fiducial.
+    """
 
     d: int
     ket: Ket
@@ -60,6 +64,7 @@ class Design:
     """Unit vectors with the residuals `make_design` verified when it built them.
 
     The vectors are held once, as a read-only copy of the (N, d) `vector_stack`.
+    `channels.measure_prepare_from_design` holds the pair it builds on the design.
     """
 
     d: int

@@ -22,12 +22,35 @@ PSD_TOL = 1e-9
 NORM_TOL = 1e-12
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of `arr` that cannot be made writable again.
+
+    The copy lives in an immutable bytes buffer, so numpy refuses
+    setflags(write=True) on it and on its base alike, and a record that holds
+    it cannot be changed through it.
+    """
+    return np.frombuffer(arr.tobytes(), arr.dtype).reshape(arr.shape)
+
+
+def _frozen(arr) -> np.ndarray:
+    """A finite complex copy of `arr` by `_read_only` (non-finite entries: DomainError)."""
+    out = np.asarray(arr, dtype=complex)
     if not np.isfinite(out).all():
         raise DomainError("non-finite entries (NaN/Inf) are not allowed")
-    out.setflags(write=False)
-    return out
+    return _read_only(out)
+
+
+def _memo(record, name: str, build):
+    """build(record), computed once and then held on the immutable record as `name`.
+
+    Every later call returns the same object, and it lives and dies with the
+    record.  A build that raises holds nothing, so a refused record is refused
+    again on every call.
+    """
+    held = record.__dict__
+    if name not in held:
+        object.__setattr__(record, name, build(record))  # the records are frozen dataclasses
+    return held[name]
 
 
 def _check_hermitian(m: np.ndarray, unit_trace: bool = False) -> np.ndarray:
@@ -291,10 +314,9 @@ def partial_transpose(m: Operator, sub) -> Operator:
     for s in subs:
         axes[s], axes[s + n] = s + n, s
     mat = m.mat
-    pt = mat.reshape(dims + dims).transpose(axes).reshape(mat.shape)
     # a permutation of a validated operator's entries is finite and keeps its
-    # dims: freeze the one copy and skip Operator's second copy and scan
-    pt.setflags(write=False)
+    # dims: `_read_only` makes the one copy, and Operator's copy and scan are skipped
+    pt = _read_only(mat.reshape(dims + dims).transpose(axes)).reshape(mat.shape)
     op = object.__new__(Operator)
     object.__setattr__(op, "mat", pt)
     object.__setattr__(op, "dims", dims)

@@ -20,7 +20,7 @@ import numpy as np
 from .channels import MeasurePrepare, _measure_and_prepare, channel_from_measure_prepare
 from .designs import Fiducial, _sic_orbit, _weyl_orbit, hw_orbit
 from .errors import ConventionMismatch, DomainError
-from .linalg import DensityMatrix, Operator, _frozen, phase_free_distance
+from .linalg import DensityMatrix, Operator, _frozen, _memo, phase_free_distance
 
 ASSEMBLY_TOL = 1e-10
 
@@ -30,10 +30,11 @@ class TwoStepMeasurement:
     """The two measurement steps and their assembled effects, held as read-only stacks.
 
     `kraus_diagonals` (d, d) holds the diagonal of A_k in row k,
-    `fourier_effects` (d, d, d) the projectors B_l and `assembled_stack`
-    (d^2, d, d) the effects A_k^dag B_l A_k at index k*d + l; each is held as
-    a read-only copy, and a stack of another shape raises DomainError.  The
-    `assembled` tuple of `Operator`s is derived on first read, with dims (d,).
+    `fourier_effects` (d, d, d) the projectors B_l, `assembled_stack`
+    (d^2, d, d) the effects A_k^dag B_l A_k and `orbit` (d^2, d) the orbit
+    vectors, both at index k*d + l; each is held as a read-only copy, and a
+    stack of another shape raises DomainError.  The `assembled` tuple of
+    `Operator`s is derived on first read, with dims (d,).
     """
 
     d: int
@@ -42,12 +43,12 @@ class TwoStepMeasurement:
     fourier_effects: np.ndarray
     assembled_stack: np.ndarray
     convention: str
-    orbit: np.ndarray  # (d^2, d) read-only orbit vectors, index k*d + l
+    orbit: np.ndarray
 
     def __post_init__(self):
         d = self.d
         for name, shape in (("kraus_diagonals", (d, d)), ("fourier_effects", (d, d, d)),
-                            ("assembled_stack", (d * d, d, d))):
+                            ("assembled_stack", (d * d, d, d)), ("orbit", (d * d, d))):
             arr = _frozen(getattr(self, name))
             if arr.shape != shape:
                 raise DomainError(f"{name} of shape {arr.shape}, expected {shape}")
@@ -98,10 +99,15 @@ def build_two_step(f: Fiducial) -> TwoStepMeasurement:
     and B_l projects on the l-th Fourier vector, with both index signs +1.
     For real amplitudes the conjugation is a no-op and the convention is
     recorded as plain.  Every assembled effect is checked against its orbit
-    projector within 1e-10; a miss raises ConventionMismatch.
+    projector within 1e-10; a miss raises ConventionMismatch.  The first call
+    on a fiducial builds and checks the factorization, and every later call
+    returns that one record; a refused fiducial is refused again on every call.
     """
+    return _memo(f, "_two_step", _build_two_step)
+
+
+def _build_two_step(f: Fiducial) -> TwoStepMeasurement:
     orbit = _sic_orbit(f)  # raises NotSICError if the orbit is not a SIC family
-    orbit.setflags(write=False)
     d = f.d
     real = not f.alphas.imag.any()
     effects = _fourier_effects(d)

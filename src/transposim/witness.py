@@ -26,6 +26,7 @@ from .linalg import (
     _check_index,
     _frozen,
     _kron_sum,
+    _read_only,
     partial_transpose,
     permute_subsystems,
     real_trace_product,
@@ -34,6 +35,9 @@ from .linalg import (
 
 BOUNDARY_BAND = 1e-9
 NPT_TOL = 1e-9
+# the package's limit on total dimension: the multipartite state on n parties
+# of dimension d holds (d^n)^2 entries, so d^n > 64 is refused before allocating
+_MAX_TOTAL_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class SeparableDecomposition:
     right_stack: np.ndarray
 
     def __init__(self, weights, left_stack, right_stack):
-        weights = np.array(weights, dtype=float)
+        weights = np.asarray(weights, dtype=float)
         if np.any(weights < 0):
             raise DomainError("decomposition weights must be nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -78,8 +82,7 @@ class SeparableDecomposition:
                 raise DomainError(f"a factor stack must be (N, a, a), got shape {stack.shape}")
         if not (len(left) == len(right) and weights.shape == (len(left),)):
             raise DomainError("weights and factor stacks must have equal length")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", _read_only(weights))
         object.__setattr__(self, "left_stack", left)
         object.__setattr__(self, "right_stack", right)
 
@@ -231,11 +234,25 @@ def locc_expectation(rho: DensityMatrix, dec: SeparableDecomposition) -> float:
     return float((dec.weights * local).sum())
 
 
-def ghz_ket(n: int, d: int) -> Ket:
-    """sum_j |j>^(x n) / sqrt(d)."""
+def _check_parties(n, d) -> tuple[int, int]:
+    """(n, d) as ints by `_as_int`: n >= 2 parties of dimension d >= 2 with d^n <= 64.
+
+    Anything else is refused with DomainError.
+    """
     n, d = _as_int(n, "number of parties"), _as_int(d, "dimension")
     if n < 2 or d < 2:
-        raise DomainError("GHZ state needs n >= 2 parties of dimension d >= 2")
+        raise DomainError(f"need n >= 2 parties of dimension d >= 2, got n = {n}, d = {d}")
+    # d >= 2, so n >= 7 is over the limit: min keeps a huge n from forming a huge power
+    if d ** min(n, 7) > _MAX_TOTAL_DIM:
+        raise DomainError(
+            f"{n} parties of dimension {d} exceed the total dimension limit {_MAX_TOTAL_DIM}"
+        )
+    return n, d
+
+
+def ghz_ket(n: int, d: int) -> Ket:
+    """sum_j |j>^(x n) / sqrt(d), for n >= 2 parties of dimension d >= 2 with d^n <= 64."""
+    n, d = _check_parties(n, d)
     v = np.zeros(d**n, dtype=complex)
     step = (d**n - 1) // (d - 1)
     v[np.arange(d) * step] = 1.0 / np.sqrt(d)
@@ -255,7 +272,9 @@ def multipartite_closed_forms(
     Each is sum_k |c_k><c_k| (x) |psi_k><psi_k| / d^2 over the SIC vectors s_k,
     psi_k = sum_j conj(s_k)_j |j...j>, with c_k = s_k (plain) or conj(s_k)
     (conjugated), reordered so the cut factor sits at its party position.
+    n and d follow `ghz_ket`'s rule.
     """
+    n, d = _check_parties(n, d)
     _check_sic(g, d)
     dims = (d,) * n
     cut = _check_index(cut, dims)
@@ -276,11 +295,9 @@ def multipartite_aew(n: int, d: int, cut: int, g: Design) -> ApproxWitness:
     The construction applies the approximate transpose to the cut factor of
     the GHZ state.  `g` must be a SIC in dimension d, the design that
     `multipartite_closed_forms` sums over; the state does not depend on it.
-    The detection threshold is 1/(d(d+1)).
+    The detection threshold is 1/(d(d+1)).  n and d follow `ghz_ket`'s rule.
     """
-    n, d = _as_int(n, "number of parties"), _as_int(d, "dimension")
-    if n < 2:
-        raise DomainError(f"need at least two parties, got {n}")
+    n, d = _check_parties(n, d)
     try:
         cut = _check_index(cut, (d,) * n)
     except IndexError:

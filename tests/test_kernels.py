@@ -448,9 +448,13 @@ def count_constructions(monkeypatch):
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_design_realization_builds_no_per_vector_wrappers(d, monkeypatch):
+    # a fresh design: the shared mub_prime(d) may already hold its pair
+    g = make_design(mub_prime(d).vector_stack, kind="MUB")
     counts = count_constructions(monkeypatch)
-    measure_prepare_from_design(mub_prime(d))
+    measure_prepare_from_design(g)
     # only the CJ matrix: the two-design check's target is a plain real array
+    assert counts == {"Ket": 0, "Operator": 1}
+    measure_prepare_from_design(g)  # the held pair: nothing is built again
     assert counts == {"Ket": 0, "Operator": 1}
 
 

@@ -36,6 +36,7 @@ from transposim import (
     make_design,
     mub_prime,
     multipartite_aew,
+    multipartite_closed_forms,
     pointwise_transpose_fidelity,
     sample_overlap,
     save_channel,
@@ -78,6 +79,10 @@ def multipartite_aew_of_two_parties(d):
     return multipartite_aew(2, d, 0, sic_from_fiducial(builtin_fiducial(2)))
 
 
+def multipartite_closed_forms_of_two_parties(d):
+    return multipartite_closed_forms(2, d, 0, sic_from_fiducial(builtin_fiducial(2)))
+
+
 # each constructor that takes a dimension, and where its result records it
 DIMENSION_OF = {
     approx_transpose: lambda ch: ch.d_in,
@@ -93,6 +98,7 @@ DIMENSION_OF = {
     haar_random_density_at_seed_0: lambda rho: rho.dims[0],
     basis_ket_0: lambda k: k.dim,
     multipartite_aew_of_two_parties: lambda a: a.state.dims[0],
+    multipartite_closed_forms_of_two_parties: lambda forms: forms[0].dims[0],
 }
 # each constructor that takes a number of parties n: the dims of its result for n qubits
 PARTIES_OF = {
@@ -100,6 +106,9 @@ PARTIES_OF = {
     multipartite_aew: lambda n: multipartite_aew(
         n, 2, 0, sic_from_fiducial(builtin_fiducial(2))
     ).state.dims,
+    multipartite_closed_forms: lambda n: multipartite_closed_forms(
+        n, 2, 0, sic_from_fiducial(builtin_fiducial(2))
+    )[0].dims,
 }
 
 

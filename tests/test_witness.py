@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,35 @@ def test_multipartite_cut_accepts_a_numpy_integer_and_stores_an_int():
     assert np.array_equal(a.state.mat, multipartite_aew(3, 2, 1, g).state.mat)
     with pytest.raises(IndexError):
         multipartite_closed_forms(3, 2, 3, g)
+
+
+@pytest.mark.parametrize("n, d", [(7, 2), (9, 2), (2, 9), (4, 3), (10**9, 2)])
+def test_the_multipartite_witness_refuses_a_total_dimension_over_64(n, d):
+    # multipartite_aew(7, 2, 0, g) built a 128-dimensional state; the refusal allocates nothing
+    g = sic_from_fiducial(builtin_fiducial(2))
+    tracemalloc.start()
+    try:
+        for build in (lambda: ghz_ket(n, d), lambda: multipartite_aew(n, d, 0, g),
+                      lambda: multipartite_closed_forms(n, d, 0, g)):
+            with pytest.raises(DomainError, match="total dimension limit 64"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("n, d", [(6, 2), (3, 4), (2, 8)])
+def test_a_total_dimension_of_64_is_accepted(n, d):
+    assert ghz_ket(n, d).dims == (d,) * n
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (0, 2), (3, 1), (2.0, 2), (3, 2.0), (True, 2)])
+def test_multipartite_closed_forms_checks_parties_and_dimension(n, d):
+    # (2.0, 2) ended in a TypeError and (1, 2) returned a 2x2 operator
+    g = sic_from_fiducial(builtin_fiducial(2))
+    with pytest.raises(DomainError):
+        multipartite_closed_forms(n, d, 0, g)
 
 
 def test_multipartite_oracle_design_independence():
