@@ -90,7 +90,6 @@ _EXPORTS = {
     "optics": (
         "Fig2Pipeline",
         "build_fig2_pipeline",
-        "output_channel",
         "phase_report",
         "run_pipeline",
     ),
@@ -100,7 +99,6 @@ _EXPORTS = {
         "build_two_step",
         "correction_set",
         "simulate_circuit",
-        "two_step_channel",
         "verify_corrections",
     ),
     "witness": (

@@ -14,6 +14,7 @@ import numpy as np
 
 from .channels import (
     approx_transpose,
+    channel_from_measure_prepare,
     cj_distance,
     cj_state,
     measure_prepare_from_design,
@@ -40,8 +41,8 @@ from .linalg import (
     real_trace_product,
     swap_operator,
 )
-from .optics import build_fig2_pipeline, output_channel, phase_report, run_pipeline
-from .twostep import build_two_step, two_step_channel, verify_corrections
+from .optics import build_fig2_pipeline, phase_report, run_pipeline
+from .twostep import build_two_step, verify_corrections
 from .witness import (
     aew,
     detect,
@@ -131,9 +132,9 @@ def criterion_04_two_step(max_dim: int = 5) -> CriterionResult:
                 prod = a.conj().T @ ts.fourier_effects[l] @ a
                 worst_prod = max(
                     worst_prod,
-                    float(np.linalg.norm(ts.assembled_stack[k * d + l] - prod)),
+                    float(np.linalg.norm(ts.effect_stack[k * d + l] - prod)),
                 )
-        total = sum(ts.assembled_stack)
+        total = sum(ts.effect_stack)
         worst_sum = max(worst_sum, float(np.linalg.norm(total - np.eye(d))))
     return _result(
         4,
@@ -146,7 +147,9 @@ def criterion_04_two_step(max_dim: int = 5) -> CriterionResult:
 def criterion_05_corrections(max_dim: int = 5) -> CriterionResult:
     worst_phase = max(verify_corrections(builtin_fiducial(d)) for d in (2, 3))
     worst_cj = max(
-        cj_distance(two_step_channel(builtin_fiducial(d)), approx_transpose(d)) for d in (2, 3)
+        cj_distance(channel_from_measure_prepare(build_two_step(builtin_fiducial(d))),
+                    approx_transpose(d))
+        for d in (2, 3)
     )
     return _result(
         5,
@@ -158,7 +161,7 @@ def criterion_05_corrections(max_dim: int = 5) -> CriterionResult:
 
 def criterion_06_optics(max_dim: int = 5) -> CriterionResult:
     pipe = build_fig2_pipeline(builtin_fiducial(2))
-    cjd = cj_distance(output_channel(pipe), approx_transpose(2))
+    cjd = cj_distance(channel_from_measure_prepare(pipe), approx_transpose(2))
     orbit = hw_orbit(builtin_fiducial(2))
     states = [DensityMatrix(np.eye(2) / 2), DensityMatrix(np.diag([1.0, 0.0]))]
     states += [haar_random_density(2, 600 + i) for i in range(20)]

@@ -8,9 +8,11 @@ from the CJ eigendecomposition.
 The kernels work on stacked arrays rather than one operator at a time: a
 measure-and-prepare CJ matrix is one design sum `linalg._kron_sum` of the
 stacked E_k^T and |p_k><p_k|, `_measure_and_prepare` applies a
-measure-and-prepare pair to a state for the two-step circuit and the optics
-pipeline, and `apply_to_factor` contracts the stacked Kraus operators with the
-reshaped state instead of forming kron(I, K, I).
+`MeasurePrepare` record to a state, and `apply_to_factor` contracts the
+stacked Kraus operators with the reshaped state instead of forming
+kron(I, K, I).  The design, two-step and optics realizations are each a
+`MeasurePrepare`, so this one kernel and `channel_from_measure_prepare` serve
+all three.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _cptp_flags(cj: np.ndarray, d_in: int) -> tuple[float | None, float]:
     return violation, residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """A linear map on operators, canonically represented by its CJ matrix."""
 
@@ -54,20 +56,30 @@ class Channel:
     cptp: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurePrepare:
-    """A measure-and-prepare pair: POM effects and the states prepared per outcome.
+    """A measure-and-prepare realization: POM effects and the states prepared per outcome.
 
     Held as read-only copies of the stacks `effect_stack` (N, d, d) and
-    `preparation_stack` (N, d).
+    `preparation_stack` (N, d), outcome k pairing E_k with |p_k>; stacks of
+    any other shapes, or empty ones, raise DomainError.  The two-step circuit
+    and the optics pipeline are subclasses that add the fields of their
+    construction.
     """
 
     effect_stack: np.ndarray
     preparation_stack: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "effect_stack", _frozen(self.effect_stack))
-        object.__setattr__(self, "preparation_stack", _frozen(self.preparation_stack))
+        effects, preps = _frozen(self.effect_stack), _frozen(self.preparation_stack)
+        n, d = preps.shape if preps.ndim == 2 else (0, 0)
+        if not (n and d and effects.shape == (n, d, d)):
+            raise DomainError(
+                f"effects of shape {effects.shape} with preparations of shape {preps.shape}, "
+                "expected (N, d, d) with (N, d) and N, d >= 1"
+            )
+        object.__setattr__(self, "effect_stack", effects)
+        object.__setattr__(self, "preparation_stack", preps)
 
 
 def _channel(cj: np.ndarray, d: int, expect_cptp: bool = True) -> Channel:
@@ -210,9 +222,7 @@ def _measure_prepare_from_design(g: Design) -> tuple[MeasurePrepare, Channel]:
 def channel_from_measure_prepare(mp: MeasurePrepare) -> Channel:
     """CJ matrix of rho -> sum_k tr{E_k rho} |p_k><p_k|."""
     effects, preps = mp.effect_stack, mp.preparation_stack      # (N, d, d), (N, d)
-    n, d = len(effects), effects.shape[1]
-    if len(preps) != n:
-        raise DomainError(f"{n} effects but {len(preps)} prepared states")
+    d = preps.shape[1]
     if float(np.abs(effects.sum(axis=0) - np.eye(d)).max()) > 1e-10:
         raise DomainError("effects do not sum to the identity")
     projectors = preps[:, :, None] * preps[:, None, :].conj()
@@ -221,13 +231,17 @@ def channel_from_measure_prepare(mp: MeasurePrepare) -> Channel:
 
 
 def _measure_and_prepare(
-    effects: np.ndarray, preps: np.ndarray, rho: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """p_k = tr{E_k rho} and sum_k p_k |p_k><p_k| for stacked (N, d, d) effects, (N, d) states."""
-    probs = np.einsum("kij,ji->k", effects, rho).real
+    mp: MeasurePrepare, rho: DensityMatrix
+) -> tuple[np.ndarray, DensityMatrix]:
+    """p_k = tr{E_k rho} and the prepared mixture sum_k p_k |p_k><p_k| (a d-dimensional state)."""
+    preps = mp.preparation_stack
+    d = preps.shape[1]
+    if rho.dim != d:
+        raise DomainError(f"state dimension {rho.dim} does not match the measurement dimension {d}")
+    probs = np.einsum("kij,ji->k", mp.effect_stack, rho.mat).real
     projectors = preps[:, :, None] * preps[:, None, :].conj()
     # a sum over the leading axis adds the outcomes in order, as the loop form does
-    return probs, (probs[:, None, None] * projectors).sum(axis=0)
+    return probs, DensityMatrix((probs[:, None, None] * projectors).sum(axis=0))
 
 
 def pointwise_transpose_fidelity(e: Channel, psi: Ket) -> float:

@@ -129,13 +129,15 @@ def _build_via(via: str, d: int, f):
         from .designs import sic_from_fiducial
 
         return measure_prepare_from_design(sic_from_fiducial(f))[1]
+    from .channels import channel_from_measure_prepare
+
     if via == "two-step":
-        from .twostep import two_step_channel
+        from .twostep import build_two_step
 
-        return two_step_channel(f)
-    from .optics import build_fig2_pipeline, output_channel
+        return channel_from_measure_prepare(build_two_step(f))
+    from .optics import build_fig2_pipeline
 
-    return output_channel(build_fig2_pipeline(f))  # optics: offered for d = 2 only
+    return channel_from_measure_prepare(build_fig2_pipeline(f))  # optics: offered for d = 2 only
 
 
 def cmd_apply(args) -> int:

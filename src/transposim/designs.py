@@ -39,7 +39,7 @@ def _refuse_oversized(d: int, what: str) -> None:
         raise DomainError(f"{what} is limited to dimension <= {MAX_DIM}, got {d}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fiducial:
     """Seed vector whose Heisenberg-Weyl orbit is intended to be a SIC family.
 
@@ -59,7 +59,7 @@ class Fiducial:
         return self.ket.vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
     """Unit vectors with the residuals `make_design` verified when it built them.
 

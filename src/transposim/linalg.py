@@ -103,7 +103,7 @@ def _as_dims(dims, total: int) -> tuple[int, ...]:
     return dims
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ket:
     """A complex vector with attached tensor-factor dimensions."""
 
@@ -126,7 +126,7 @@ class Ket:
         return Ket(self.vec.conj(), self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """A square complex matrix with attached tensor-factor dimensions."""
 
@@ -145,7 +145,7 @@ class Operator:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated quantum state: Hermitian, unit trace, PSD within tolerance.
 

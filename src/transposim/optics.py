@@ -1,4 +1,4 @@
-"""Fig. 2's optical approximate transpose, as a calibrated measure-and-prepare record.
+"""Fig. 2's optical approximate transpose, as a calibrated `MeasurePrepare` record.
 
 What is modelled is the scheme's outcome statistics.  Path p = 2k + l, with
 k the arm of the first, partially-polarizing split and l the port of the
@@ -7,7 +7,8 @@ second, polarizing one, carries the effect A_k^dag B_l A_k =
 that path is the path state after its phase shifter, whose setting is solved
 so that it is the conjugate |s_{k,l}*> up to a global phase (a miss is a
 CalibrationError).  The coupler mixes the paths incoherently, because they are
-distinguishable outcomes, so the output is sum_p tr{E_p rho} |s_p*><s_p*|.
+distinguishable outcomes, so the output is sum_p tr{E_p rho} |s_p*><s_p*|, and
+the pipeline's channel is `channel_from_measure_prepare` of the record.
 
 What is not modelled is the propagation of the photon through the beam
 splitters and wave plates: no element matrices are held or multiplied, and the
@@ -20,33 +21,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, MeasurePrepare, _measure_and_prepare, channel_from_measure_prepare
+from .channels import MeasurePrepare, _measure_and_prepare
 from .designs import Fiducial
 from .errors import CalibrationError, DomainError
-from .linalg import DensityMatrix, _frozen, phase_free_distance
+from .linalg import DensityMatrix, phase_free_distance
 from .twostep import build_two_step
 
 PHASE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Fig2Pipeline:
+@dataclass(frozen=True, eq=False)
+class Fig2Pipeline(MeasurePrepare):
     """The calibrated four-path measure-and-prepare record of Fig. 2.
 
     Path p = 2k + l carries the effect |s_{k,l}><s_{k,l}| / 2; the transmission
     arm is k = 0.  The path effects and the prepared (conjugated) states are
-    held as read-only copies of the stacks `effect_stack` (4, 2, 2) and
-    `prepared_stack` (4, 2); `solved_phases` holds each path's phase setting.
+    the read-only stacks `effect_stack` (4, 2, 2) and `preparation_stack`
+    (4, 2); `solved_phases` holds each path's phase setting.
     """
 
     fiducial: Fiducial
-    effect_stack: np.ndarray
-    prepared_stack: np.ndarray
     solved_phases: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "effect_stack", _frozen(self.effect_stack))
-        object.__setattr__(self, "prepared_stack", _frozen(self.prepared_stack))
 
 
 def _solve_conjugation_phase(s: np.ndarray) -> float:
@@ -62,7 +57,7 @@ def build_fig2_pipeline(f: Fiducial) -> Fig2Pipeline:
         raise DomainError("the optical pipeline is defined for polarization qubits (d = 2)")
     ts = build_two_step(f)
     prepared, phases = [], []
-    for p, s in enumerate(ts.orbit):
+    for p, s in enumerate(ts.preparation_stack.conj()):
         phi = _solve_conjugation_phase(s)
         corrected = np.diag([1.0, np.exp(1j * phi)]) @ s
         dist = phase_free_distance(corrected, s.conj())
@@ -74,24 +69,16 @@ def build_fig2_pipeline(f: Fiducial) -> Fig2Pipeline:
         prepared.append(corrected)
         phases.append(phi)
     return Fig2Pipeline(
+        effect_stack=ts.effect_stack,
+        preparation_stack=np.array(prepared),
         fiducial=f,
-        effect_stack=ts.assembled_stack,
-        prepared_stack=np.array(prepared),
         solved_phases=tuple(phases),
     )
 
 
 def run_pipeline(pipe: Fig2Pipeline, rho: DensityMatrix) -> tuple[np.ndarray, DensityMatrix]:
     """Path probabilities and the coupler output state (the incoherent path mixture)."""
-    if rho.dim != 2:
-        raise DomainError(f"polarization state must be a qubit, got dimension {rho.dim}")
-    probs, out = _measure_and_prepare(pipe.effect_stack, pipe.prepared_stack, rho.mat)
-    return probs, DensityMatrix(out)
-
-
-def output_channel(pipe: Fig2Pipeline) -> Channel:
-    """The polarization channel induced by the calibrated pipeline."""
-    return channel_from_measure_prepare(MeasurePrepare(pipe.effect_stack, pipe.prepared_stack))
+    return _measure_and_prepare(pipe, rho)
 
 
 def phase_report(pipe: Fig2Pipeline) -> dict:

@@ -7,7 +7,10 @@ convention is derived, not searched: with A_k = diag(conj(alpha_{m-k})), the
 conjugated fiducial amplitudes on the diagonal shifted by k, the identity holds
 by algebra for every fiducial.  Conventions for amplitude conjugation and index
 signs drift between formulations, so the builder still checks the identity
-against the orbit projectors and records the convention it used.
+against the orbit projectors and records the convention it used.  The
+factorization is a `MeasurePrepare`: its effects are the assembled A_k^dag B_l
+A_k and its preparations the conjugated orbit states |s*_{k,l}>, so the circuit
+and its channel go through the one measure-and-prepare kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import MeasurePrepare, _measure_and_prepare, channel_from_measure_prepare
+from .channels import MeasurePrepare, _measure_and_prepare
 from .designs import Fiducial, _sic_orbit, _weyl_orbit, hw_orbit
 from .errors import ConventionMismatch, DomainError
 from .linalg import DensityMatrix, Operator, _frozen, _memo, phase_free_distance
@@ -25,41 +28,40 @@ from .linalg import DensityMatrix, Operator, _frozen, _memo, phase_free_distance
 ASSEMBLY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TwoStepMeasurement:
-    """The two measurement steps and their assembled effects, held as read-only stacks.
+@dataclass(frozen=True, eq=False)
+class TwoStepMeasurement(MeasurePrepare):
+    """The two measurement steps of a SIC measurement, as a measure-and-prepare record.
 
-    `kraus_diagonals` (d, d) holds the diagonal of A_k in row k,
-    `fourier_effects` (d, d, d) the projectors B_l, `assembled_stack`
-    (d^2, d, d) the effects A_k^dag B_l A_k and `orbit` (d^2, d) the orbit
-    vectors, both at index k*d + l; each is held as a read-only copy, and a
-    stack of another shape raises DomainError.  The `assembled` tuple of
-    `Operator`s is derived on first read, with dims (d,).
+    `effect_stack` (d^2, d, d) holds the assembled effects A_k^dag B_l A_k and
+    `preparation_stack` (d^2, d) the conjugated orbit vectors, both at index
+    k*d + l; `kraus_diagonals` (d, d) holds the diagonal of A_k in row k and
+    `fourier_effects` (d, d, d) the projectors B_l.  Each is held as a
+    read-only copy, and a stack of another shape raises DomainError.  The
+    `assembled` tuple of `Operator`s is derived on first read, with dims (d,).
     """
 
     d: int
     fiducial: Fiducial
     kraus_diagonals: np.ndarray
     fourier_effects: np.ndarray
-    assembled_stack: np.ndarray
     convention: str
-    orbit: np.ndarray
 
     def __post_init__(self):
+        super().__post_init__()
+        for name in ("kraus_diagonals", "fourier_effects"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         d = self.d
-        for name, shape in (("kraus_diagonals", (d, d)), ("fourier_effects", (d, d, d)),
-                            ("assembled_stack", (d * d, d, d)), ("orbit", (d * d, d))):
-            arr = _frozen(getattr(self, name))
-            if arr.shape != shape:
-                raise DomainError(f"{name} of shape {arr.shape}, expected {shape}")
-            object.__setattr__(self, name, arr)
+        for name, shape in (("preparation_stack", (d * d, d)), ("kraus_diagonals", (d, d)),
+                            ("fourier_effects", (d, d, d))):
+            if getattr(self, name).shape != shape:
+                raise DomainError(f"{name} of shape {getattr(self, name).shape}, expected {shape}")
 
     @cached_property
     def assembled(self) -> tuple[Operator, ...]:
-        return tuple(Operator(m) for m in self.assembled_stack)
+        return tuple(Operator(m) for m in self.effect_stack)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrectionSet:
     """Outcome-controlled unitaries mapping each orbit state to its conjugate."""
 
@@ -119,7 +121,7 @@ def _build_two_step(f: Fiducial) -> TwoStepMeasurement:
             f"the derived convention does not reproduce the SIC projectors (residual {worst:.3e})",
             residuals={name: worst},
         )
-    return TwoStepMeasurement(d, f, diag, effects, assembled, convention=name, orbit=orbit)
+    return TwoStepMeasurement(assembled, orbit.conj(), d, f, diag, effects, convention=name)
 
 
 def correction_set(f: Fiducial) -> CorrectionSet:
@@ -146,17 +148,7 @@ def simulate_circuit(f: Fiducial, rho: DensityMatrix) -> tuple[np.ndarray, Densi
     output state sum_{k,l} p_{k,l} |s*_{k,l}><s*_{k,l}|, which realizes the
     approximate transpose without post-selection.
     """
-    ts = build_two_step(f)
-    if rho.dim != f.d:
-        raise DomainError(f"state dimension {rho.dim} does not match fiducial dimension {f.d}")
-    probs, out = _measure_and_prepare(ts.assembled_stack, ts.orbit.conj(), rho.mat)
-    return probs, DensityMatrix(out)
-
-
-def two_step_channel(f: Fiducial):
-    """The channel induced by the two-step circuit (measure M_{k,l}, prepare s*)."""
-    ts = build_two_step(f)
-    return channel_from_measure_prepare(MeasurePrepare(ts.assembled_stack, ts.orbit.conj()))
+    return _measure_and_prepare(build_two_step(f), rho)
 
 
 def verify_corrections(f: Fiducial) -> float:

@@ -40,7 +40,7 @@ NPT_TOL = 1e-9
 _MAX_TOTAL_DIM = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """A normalized entanglement witness: Hermitian with unit trace."""
 
@@ -59,7 +59,7 @@ class Witness:
         return self.op.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparableDecomposition:
     """Convex product decomposition sum_k q_k tau_k (x) sigma_k.
 
@@ -91,7 +91,7 @@ class SeparableDecomposition:
         return Operator(total, (self.left_stack.shape[1], self.right_stack.shape[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApproxWitness:
     """A witness rendered as a quantum state, plus its detection threshold."""
 

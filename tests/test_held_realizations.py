@@ -2,7 +2,7 @@
 
 `measure_prepare_from_design(g)` holds its (MeasurePrepare, Channel) pair on
 the design and `build_two_step(f)` its factorization on the fiducial, so later
-calls, and `simulate_circuit`, `two_step_channel` and `build_fig2_pipeline`,
+calls, and `simulate_circuit`, the two-step channel and `build_fig2_pipeline`,
 reuse them.  A refused record holds nothing and is refused again on every call.
 Every array a record holds is a copy that no caller can make writable again.
 """
@@ -20,12 +20,17 @@ from transposim import (
     DomainError,
     Fiducial,
     Ket,
+    MeasurePrepare,
     NotSICError,
     Operator,
+    SeparableDecomposition,
+    aew,
     approx_transpose,
     build_fig2_pipeline,
     build_two_step,
     builtin_fiducial,
+    channel_from_measure_prepare,
+    correction_set,
     haar_random_density,
     identity,
     make_design,
@@ -35,7 +40,7 @@ from transposim import (
     separable_decomposition_of_transpose_aew,
     sic_from_fiducial,
     simulate_circuit,
-    two_step_channel,
+    transpose_witness,
 )
 from transposim import channels, twostep
 
@@ -106,8 +111,8 @@ def test_one_factorization_per_fiducial_serves_every_two_step_caller(monkeypatch
     ts = build_two_step(f)
     assert build_two_step(f) is ts
     simulate_circuit(f, rho)
-    two_step_channel(f)
-    assert build_fig2_pipeline(f).effect_stack.tobytes() == ts.assembled_stack.tobytes()
+    channel_from_measure_prepare(build_two_step(f))
+    assert build_fig2_pipeline(f).effect_stack.tobytes() == ts.effect_stack.tobytes()
     assert calls == [f]
     # another fiducial with the same vector is another record: it builds its own
     g = Fiducial(2, f.ket)
@@ -122,15 +127,15 @@ def test_the_held_factorization_gives_the_same_results_as_a_fresh_one():
     fresh_probs, fresh_out = simulate_circuit(builtin_fiducial(3), rho)
     assert probs.tobytes() == fresh_probs.tobytes()
     assert out.mat.tobytes() == fresh_out.mat.tobytes()
-    assert (two_step_channel(f).cj.mat.tobytes()
-            == two_step_channel(builtin_fiducial(3)).cj.mat.tobytes())
+    assert (channel_from_measure_prepare(build_two_step(f)).cj.mat.tobytes()
+            == channel_from_measure_prepare(build_two_step(builtin_fiducial(3))).cj.mat.tobytes())
 
 
 def test_a_non_sic_fiducial_is_refused_on_every_call_and_holds_nothing(monkeypatch):
     f, rho = Fiducial(2, Ket([1, 0])), haar_random_density(2, 0)
     calls = counting(monkeypatch, twostep, "_build_two_step")
-    for call in (build_two_step, two_step_channel, build_fig2_pipeline,
-                 lambda f: simulate_circuit(f, rho)):
+    for call in (build_two_step, lambda f: channel_from_measure_prepare(build_two_step(f)),
+                 build_fig2_pipeline, lambda f: simulate_circuit(f, rho)):
         for _ in range(2):
             with pytest.raises(NotSICError):
                 call(f)
@@ -173,10 +178,10 @@ def record_arrays():
         "MeasurePrepare.effect_stack": sic_mp.effect_stack,
         "TwoStepMeasurement.kraus_diagonals": ts.kraus_diagonals,
         "TwoStepMeasurement.fourier_effects": ts.fourier_effects,
-        "TwoStepMeasurement.assembled_stack": ts.assembled_stack,
-        "TwoStepMeasurement.orbit": ts.orbit,
+        "TwoStepMeasurement.effect_stack": ts.effect_stack,
+        "TwoStepMeasurement.preparation_stack": ts.preparation_stack,
         "Fig2Pipeline.effect_stack": pipe.effect_stack,
-        "Fig2Pipeline.prepared_stack": pipe.prepared_stack,
+        "Fig2Pipeline.preparation_stack": pipe.preparation_stack,
         "SeparableDecomposition.weights": dec.weights,
         "SeparableDecomposition.left_stack": dec.left_stack,
         "SeparableDecomposition.right_stack": dec.right_stack,
@@ -219,13 +224,40 @@ def test_a_record_copies_its_input_and_leaves_the_caller_array_writable():
 
 def test_a_two_step_record_holds_a_read_only_copy_of_its_orbit():
     ts = build_two_step(builtin_fiducial(2))
-    orbit = np.array(ts.orbit)
-    rec = twostep.TwoStepMeasurement(ts.d, ts.fiducial, ts.kraus_diagonals, ts.fourier_effects,
-                                     ts.assembled_stack, ts.convention, orbit)
-    orbit[0] = 0.0                                        # the caller's array stays theirs
-    assert rec.orbit.tobytes() == ts.orbit.tobytes()
+    preps = np.array(ts.preparation_stack)                # the conjugated orbit
+    rec = dataclasses.replace(ts, preparation_stack=preps)
+    preps[0] = 0.0                                        # the caller's array stays theirs
+    assert rec.preparation_stack.tobytes() == ts.preparation_stack.tobytes()
     with pytest.raises(ValueError):
-        rec.orbit.setflags(write=True)
-    with pytest.raises(DomainError, match="orbit"):
-        twostep.TwoStepMeasurement(ts.d, ts.fiducial, ts.kraus_diagonals, ts.fourier_effects,
-                                   ts.assembled_stack, ts.convention, ts.orbit[:-1])
+        rec.preparation_stack.setflags(write=True)
+    with pytest.raises(DomainError, match="preparation"):
+        dataclasses.replace(ts, preparation_stack=ts.preparation_stack[:-1])
+
+
+# each builder makes a new record with the same contents on every call
+EQUAL_CONTENT_RECORDS = {
+    "Ket": lambda: Ket([1, 0]),
+    "Operator": lambda: Operator(np.eye(2)),
+    "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2),
+    "Channel": lambda: approx_transpose(9),               # d > 8: not a shared channel
+    "MeasurePrepare": lambda: MeasurePrepare(np.eye(2)[:, :, None] * np.eye(2)[:, None, :],
+                                             np.eye(2)),
+    "Fiducial": lambda: builtin_fiducial(2),
+    "Design": lambda: make_design(mub_prime(3).vector_stack, kind="MUB"),
+    "CorrectionSet": lambda: correction_set(builtin_fiducial(2)),
+    "Witness": lambda: transpose_witness(2),
+    "SeparableDecomposition": lambda: SeparableDecomposition([1.0], [np.eye(2) / 2],
+                                                             [np.eye(2) / 2]),
+    "ApproxWitness": lambda: aew(transpose_witness(2)),
+    "TwoStepMeasurement": lambda: build_two_step(builtin_fiducial(2)),
+    "Fig2Pipeline": lambda: build_fig2_pipeline(builtin_fiducial(2)),
+}
+
+
+@pytest.mark.parametrize("record", sorted(EQUAL_CONTENT_RECORDS))
+def test_records_compare_by_identity_and_are_hashable(record):
+    a, b = EQUAL_CONTENT_RECORDS[record](), EQUAL_CONTENT_RECORDS[record]()
+    assert type(a).__name__ == record and a is not b
+    assert (a == b) is False and (a != b) is True
+    assert a == a
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)

@@ -6,6 +6,7 @@ loop it must agree exactly; where it reorders a sum or replaces repeated
 matrix products by closed-form phases it must agree to 1e-12.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -271,10 +272,10 @@ def test_channel_from_measure_prepare_matches_kron_loop(name):
 
 
 def test_channel_from_measure_prepare_rejects_unpaired_outcomes():
+    # the record refuses the unpaired stacks, so no channel is ever asked for
     effects, preps = MP_CASES["sic2"]()
-    mp = MeasurePrepare(np.array(effects), np.array(preps[:-1]))
-    with pytest.raises(DomainError, match="4 effects but 3 prepared states"):
-        channel_from_measure_prepare(mp)
+    with pytest.raises(DomainError, match=r"\(4, 2, 2\) with preparations of shape \(3, 2\)"):
+        MeasurePrepare(np.array(effects), np.array(preps[:-1]))
 
 
 def ref_assemble(amps, l_sign, k_sign):
@@ -342,7 +343,7 @@ def test_pipeline_probabilities_match_loop(seed):
     pipe = build_fig2_pipeline(builtin_fiducial(2))
     rho = haar_random_density(2, seed)
     effects = list(pipe.effect_stack)
-    preps = list(pipe.prepared_stack)
+    preps = list(pipe.preparation_stack)
     ref_probs, ref_out = ref_measure_and_prepare(effects, preps, rho.mat)
     probs, out = run_pipeline(pipe, rho)
     assert np.abs(probs - ref_probs).max() < TOL
@@ -387,7 +388,7 @@ def realization_records():
 def test_record_views_equal_their_stacks_bit_for_bit():
     # `assembled` is the one tuple view a record still derives
     _, _, ts, _ = realization_records()
-    assert np.array([m.mat for m in ts.assembled]).tobytes() == ts.assembled_stack.tobytes()
+    assert np.array([m.mat for m in ts.assembled]).tobytes() == ts.effect_stack.tobytes()
     assert ts.assembled is ts.assembled
 
 
@@ -395,7 +396,8 @@ def test_record_stacks_are_read_only():
     g, mp, ts, pipe = realization_records()
     stacks = [
         g.vector_stack, mp.effect_stack, mp.preparation_stack, ts.kraus_diagonals,
-        ts.fourier_effects, ts.assembled_stack, ts.orbit, pipe.effect_stack, pipe.prepared_stack,
+        ts.fourier_effects, ts.effect_stack, ts.preparation_stack, pipe.effect_stack,
+        pipe.preparation_stack,
     ]
     for stack in stacks:
         with pytest.raises(ValueError):
@@ -418,19 +420,42 @@ def test_record_constructors_check_and_copy_read_only_arrays():
     owned.setflags(write=False)
     with pytest.raises(DomainError, match="non-finite"):
         MeasurePrepare(mp.effect_stack, owned)
-    tail = (ts.convention, ts.orbit)
-    rebuilt = TwoStepMeasurement(ts.d, ts.fiducial, ts.kraus_diagonals, ts.fourier_effects,
-                                 ts.assembled_stack, *tail)
+    rebuilt = TwoStepMeasurement(
+        effect_stack=ts.effect_stack, preparation_stack=ts.preparation_stack, d=ts.d,
+        fiducial=ts.fiducial, kraus_diagonals=ts.kraus_diagonals,
+        fourier_effects=ts.fourier_effects, convention=ts.convention,
+    )
     assert rebuilt.kraus_diagonals.tobytes() == ts.kraus_diagonals.tobytes()
     full = np.array([np.diag(a) for a in ts.kraus_diagonals])  # (d, d, d), not the (d, d) diagonals
     with pytest.raises(DomainError, match="kraus_diagonals"):
-        TwoStepMeasurement(ts.d, ts.fiducial, full, ts.fourier_effects, ts.assembled_stack, *tail)
-    with pytest.raises(DomainError, match="assembled_stack"):
-        TwoStepMeasurement(ts.d, ts.fiducial, ts.kraus_diagonals, ts.fourier_effects,
-                           ts.assembled_stack[:-1], *tail)
+        dataclasses.replace(ts, kraus_diagonals=full)
+    with pytest.raises(DomainError, match="effects of shape"):
+        dataclasses.replace(ts, effect_stack=ts.effect_stack[:-1])
     with pytest.raises(DomainError, match="kraus_diagonals"):
-        TwoStepMeasurement(ts.d, ts.fiducial, ts.kraus_diagonals[:-1], ts.fourier_effects,
-                           ts.assembled_stack, *tail)
+        dataclasses.replace(ts, kraus_diagonals=ts.kraus_diagonals[:-1])
+
+
+def malformed(effects, preps):
+    """Stack pairs that break the shape rule, each from a valid (N, d, d), (N, d) pair."""
+    pad = np.zeros((len(preps), 1))
+    return {
+        "non-square effects": (effects[:, :, :-1], preps),
+        "1-D preparations": (effects, preps.reshape(-1)),
+        "unequal N": (effects, preps[:-1]),
+        "preparation dimension": (effects, np.hstack([preps, pad])),
+        "zero dimension": (effects[:, :0, :0], preps[:, :0]),
+    }
+
+
+@pytest.mark.parametrize("case", ["non-square effects", "1-D preparations", "unequal N",
+                                  "preparation dimension", "zero dimension"])
+@pytest.mark.parametrize("record", ["MeasurePrepare", "TwoStepMeasurement", "Fig2Pipeline"])
+def test_every_realization_record_refuses_malformed_stacks(record, case):
+    _, mp, ts, pipe = realization_records()
+    valid = {"MeasurePrepare": mp, "TwoStepMeasurement": ts, "Fig2Pipeline": pipe}[record]
+    effects, preps = malformed(valid.effect_stack, valid.preparation_stack)[case]
+    with pytest.raises(DomainError, match=r"expected \(N, d, d\) with \(N, d\)"):
+        dataclasses.replace(valid, effect_stack=effects, preparation_stack=preps)
 
 
 def count_constructions(monkeypatch):

@@ -36,11 +36,11 @@ EXPORTED = {
         "swap_operator",
     ],
     "optics": [
-        "Fig2Pipeline", "build_fig2_pipeline", "output_channel", "phase_report", "run_pipeline",
+        "Fig2Pipeline", "build_fig2_pipeline", "phase_report", "run_pipeline",
     ],
     "twostep": [
         "CorrectionSet", "TwoStepMeasurement", "build_two_step", "correction_set",
-        "simulate_circuit", "two_step_channel", "verify_corrections",
+        "simulate_circuit", "verify_corrections",
     ],
     "witness": [
         "ApproxWitness", "CutResult", "DetectionReport", "SeparableDecomposition", "Witness",

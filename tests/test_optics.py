@@ -9,11 +9,11 @@ from transposim import (
     approx_transpose,
     build_fig2_pipeline,
     builtin_fiducial,
+    channel_from_measure_prepare,
     cj_distance,
     haar_random_density,
     haar_random_ket,
     hw_orbit,
-    output_channel,
     phase_free_distance,
     phase_report,
     pointwise_transpose_fidelity,
@@ -61,7 +61,7 @@ def test_prepared_states_are_conjugates():
     f = builtin_fiducial(2)
     pipe = build_fig2_pipeline(f)
     orbit = hw_orbit(f)
-    for k, s in zip(pipe.prepared_stack, orbit):
+    for k, s in zip(pipe.preparation_stack, orbit):
         assert phase_free_distance(k, s.conj()) < 1e-10
 
 
@@ -71,14 +71,14 @@ def test_coupler_output_is_the_prepared_mixture():
     rho = haar_random_density(2, 42)
     probs, out = run_pipeline(pipe, rho)
     manual = sum(
-        p * np.outer(k, k.conj()) for p, k in zip(probs, pipe.prepared_stack)
+        p * np.outer(k, k.conj()) for p, k in zip(probs, pipe.preparation_stack)
     )
     assert np.abs(out.mat - manual).max() == 0.0
 
 
-def test_output_channel_equals_approx_transpose():
+def test_pipeline_channel_equals_approx_transpose():
     pipe = build_fig2_pipeline(builtin_fiducial(2))
-    assert cj_distance(output_channel(pipe), approx_transpose(2)) < 1e-10
+    assert cj_distance(channel_from_measure_prepare(pipe), approx_transpose(2)) < 1e-10
 
 
 def test_output_states_match_on_haar_inputs():
@@ -98,7 +98,7 @@ def test_basis_input_gives_expected_output():
 
 
 def test_fidelity_two_thirds():
-    ch = output_channel(build_fig2_pipeline(builtin_fiducial(2)))
+    ch = channel_from_measure_prepare(build_fig2_pipeline(builtin_fiducial(2)))
     for i in range(20):
         f = pointwise_transpose_fidelity(ch, haar_random_ket(2, 300 + i))
         assert abs(f - 2 / 3) < 1e-12

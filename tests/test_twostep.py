@@ -10,6 +10,7 @@ from transposim import (
     approx_transpose,
     build_two_step,
     builtin_fiducial,
+    channel_from_measure_prepare,
     cj_distance,
     build_fig2_pipeline,
     correction_set,
@@ -17,8 +18,8 @@ from transposim import (
     haar_random_density,
     hw_orbit,
     phase_free_distance,
+    run_pipeline,
     simulate_circuit,
-    two_step_channel,
     verify_corrections,
 )
 from transposim import designs, optics, twostep
@@ -52,7 +53,7 @@ def test_assembled_effects_match_orbit_projectors(d):
     orbit = hw_orbit(f)
     for idx in range(d * d):
         target = np.outer(orbit[idx], orbit[idx].conj()) / d
-        assert np.abs(ts.assembled_stack[idx] - target).max() < 1e-10
+        assert np.abs(ts.effect_stack[idx] - target).max() < 1e-10
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -62,8 +63,8 @@ def test_exact_decomposition_and_completeness(d):
     for k in range(d):
         for l in range(d):
             prod = kraus[k].conj().T @ ts.fourier_effects[l] @ kraus[k]
-            assert np.linalg.norm(ts.assembled_stack[k * d + l] - prod) < 1e-10
-    total = sum(ts.assembled_stack)
+            assert np.linalg.norm(ts.effect_stack[k * d + l] - prod) < 1e-10
+    total = sum(ts.effect_stack)
     assert np.linalg.norm(total - np.eye(d)) < 1e-10
     kraus_total = sum(a.conj().T @ a for a in kraus)
     assert np.abs(kraus_total - np.eye(d)).max() < 1e-10
@@ -148,24 +149,31 @@ def test_simulate_matches_channel_on_haar_states():
         assert np.abs(out.mat - want.mat).max() < 1e-10
 
 
-def test_simulate_dimension_guard():
-    with pytest.raises(DomainError):
-        simulate_circuit(builtin_fiducial(2), DensityMatrix(np.eye(3) / 3))
+@pytest.mark.parametrize(
+    "run",
+    [simulate_circuit, lambda f, rho: run_pipeline(build_fig2_pipeline(f), rho)],
+    ids=["simulate_circuit", "run_pipeline"],
+)
+def test_simulate_dimension_guard(run):
+    # both go through the one measure-and-prepare kernel and its one state check
+    with pytest.raises(DomainError, match="state dimension 3 does not match"):
+        run(builtin_fiducial(2), DensityMatrix(np.eye(3) / 3))
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_circuit_channel_equals_approx_transpose(d):
-    assert cj_distance(two_step_channel(builtin_fiducial(d)), approx_transpose(d)) < 1e-10
+    ts = build_two_step(builtin_fiducial(d))
+    assert cj_distance(channel_from_measure_prepare(ts), approx_transpose(d)) < 1e-10
 
 
 @pytest.mark.parametrize(
     "run",
     [
         lambda f: simulate_circuit(f, DensityMatrix(np.eye(2) / 2)),
-        two_step_channel,
+        lambda f: channel_from_measure_prepare(build_two_step(f)),
         build_fig2_pipeline,
     ],
-    ids=["simulate_circuit", "two_step_channel", "build_fig2_pipeline"],
+    ids=["simulate_circuit", "channel_from_measure_prepare", "build_fig2_pipeline"],
 )
 def test_each_realization_computes_the_orbit_once(monkeypatch, run):
     calls = []
@@ -184,4 +192,4 @@ def test_each_realization_computes_the_orbit_once(monkeypatch, run):
 def test_searched_complex_fiducial_uses_the_conjugated_convention():
     ts = build_two_step(fiducial_search(4, seed=11))
     assert ts.convention == "amplitudes=conjugated, l_sign=+1, k_sign=+1"
-    assert not ts.orbit.flags.writeable
+    assert not ts.preparation_stack.flags.writeable
