@@ -20,17 +20,12 @@ _EXPORTS = {
         "apply_channel",
         "apply_to_factor",
         "approx_transpose",
-        "channel_from_cj",
         "channel_from_measure_prepare",
         "cj_distance",
         "cj_state",
-        "depolarize_to_identity",
         "kraus_ops",
-        "load_channel",
         "measure_prepare_from_design",
         "pointwise_transpose_fidelity",
-        "save_channel",
-        "transpose_map",
     ),
     "designs": (
         "Design",
@@ -39,12 +34,10 @@ _EXPORTS = {
         "fiducial_search",
         "frame_potential",
         "hw_orbit",
-        "load_design",
         "load_fiducial",
         "make_design",
         "mub_prime",
         "orbit_certificate",
-        "save_design",
         "save_fiducial",
         "sic_from_fiducial",
         "two_design_frame_potential",

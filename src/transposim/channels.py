@@ -2,8 +2,10 @@
 
 A channel is stored by its CJ matrix chi = (I (x) E)[|phi+><phi+|], with the
 reference copy first and the output factor second.  The inverse direction is
-E[rho] = d * tr_ref{ chi (rho^T (x) I) }.  Kraus views are derived on demand
-from the CJ eigendecomposition.
+E[rho] = d * tr_ref{ chi (rho^T (x) I) }.  Every `Channel` is checked to be
+completely positive and trace preserving when it is built, so no function
+here needs to ask.  Kraus views are derived on demand from the CJ
+eigendecomposition.
 
 The kernels work on stacked arrays rather than one operator at a time: a
 measure-and-prepare CJ matrix is one design sum `linalg._kron_sum` of the
@@ -26,34 +28,46 @@ import numpy as np
 from .designs import (
     _SHARED_MAX_DIM, COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap, _refuse_oversized,
 )
-from .errors import DomainError, NotTracePreserving, ParseError
-from .fileio import _integer, _matrix, _pairs, _read_json, write_json
+from .errors import DomainError, NotTracePreserving
 from .linalg import (
     DensityMatrix, Ket, Operator, _as_int, _check_index, _check_unit_norm, _frozen, _kron_sum,
-    _memo, _psd_violation, swap_operator,
+    _memo, _psd_violation,
 )
 
 CJ_TOL = 1e-10
 
 
-def _cptp_flags(cj: np.ndarray, d_in: int) -> tuple[float | None, float]:
-    """(psd_violation, marginal_residual) for a CJ matrix; the violation is None if PSD."""
-    violation = _psd_violation(cj)
-    d_out = cj.shape[0] // d_in
-    # the trace over the output factor must equal identity/d on the reference copy
-    marg = np.einsum("abcb->ac", cj.reshape(d_in, d_out, d_in, d_out))
-    residual = float(np.abs(marg - np.eye(d_in) / d_in).max())
-    return violation, residual
-
-
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """A linear map on operators, canonically represented by its CJ matrix."""
+    """A completely positive, trace-preserving map, held as its CJ matrix.
+
+    Construction checks the (d_in d_out) x (d_in d_out) `cj`: a matrix that is
+    not PSD raises DomainError naming its smallest eigenvalue, and one whose
+    trace over the output factor misses identity/d_in by more than CJ_TOL
+    raises NotTracePreserving.  So every Channel is CPTP.
+    """
 
     d_in: int
     d_out: int
     cj: Operator
-    cptp: bool
+
+    def __post_init__(self):
+        d_in, d_out = _as_int(self.d_in, "d_in"), _as_int(self.d_out, "d_out")
+        cj = self.cj.mat
+        if min(d_in, d_out) < 1 or cj.shape[0] != d_in * d_out:
+            raise DomainError(f"a CJ matrix of shape {cj.shape} for a {d_in} -> {d_out} channel")
+        violation = _psd_violation(cj)
+        if violation is not None:
+            raise DomainError(f"CJ matrix is not PSD (min eigenvalue {-violation:.3e})")
+        # the trace over the output factor must equal identity/d_in on the reference copy
+        marg = np.einsum("abcb->ac", cj.reshape(d_in, d_out, d_in, d_out))
+        residual = float(np.abs(marg - np.eye(d_in) / d_in).max())
+        if not residual <= CJ_TOL:
+            raise NotTracePreserving(
+                f"CJ marginal deviates from identity/d by {residual:.3e}", residual=residual
+            )
+        object.__setattr__(self, "d_in", d_in)
+        object.__setattr__(self, "d_out", d_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,18 +96,6 @@ class MeasurePrepare:
         object.__setattr__(self, "preparation_stack", preps)
 
 
-def _channel(cj: np.ndarray, d: int, expect_cptp: bool = True) -> Channel:
-    violation, residual = _cptp_flags(cj, d)
-    psd_ok, tp_ok = violation is None, residual <= CJ_TOL
-    if expect_cptp and not psd_ok:
-        raise DomainError(f"CJ matrix is not PSD (min eigenvalue {-violation:.3e})")
-    if expect_cptp and not tp_ok:
-        raise NotTracePreserving(
-            f"CJ marginal deviates from identity/d by {residual:.3e}", residual=residual
-        )
-    return Channel(d, d, Operator(cj, (d, d)), cptp=psd_ok and tp_ok)
-
-
 def _check_dim(d, what: str = "a channel") -> int:
     """A channel dimension as an int: an integer (by `_as_int`) from 2 to `designs.MAX_DIM`."""
     d = _as_int(d, "dimension")
@@ -101,18 +103,6 @@ def _check_dim(d, what: str = "a channel") -> int:
         raise DomainError(f"dimension must be >= 2, got {d}")
     _refuse_oversized(d, what)
     return d
-
-
-def transpose_map(d: int) -> Channel:
-    """The (unphysical) transpose map rho -> rho^T; CJ matrix V/d, not PSD."""
-    d = _check_dim(d)
-    return _channel(swap_operator(d).mat / d, d, expect_cptp=False)
-
-
-def depolarize_to_identity(d: int) -> Channel:
-    """The map sending every state to the maximally mixed one; CJ = identity/d^2."""
-    d = _check_dim(d)
-    return _channel(np.eye(d * d) / (d * d), d)
 
 
 def approx_transpose(d: int) -> Channel:
@@ -130,41 +120,28 @@ def approx_transpose(d: int) -> Channel:
 @functools.cache
 def _approx_transpose(d: int) -> Channel:
     """The checked approximate transpose for a d that `approx_transpose` has already accepted."""
-    return _channel(_identity_plus_swap(d), d)
+    return Channel(d, d, Operator(_identity_plus_swap(d), (d, d)))
 
 
 def cj_state(e: Channel) -> DensityMatrix:
-    """The CJ matrix as a bipartite quantum state (CPTP channels only)."""
-    if not e.cptp:
-        raise DomainError("CJ state is only defined for CPTP channels")
+    """The CJ matrix as a bipartite quantum state."""
     return DensityMatrix(e.cj)
 
 
-def channel_from_cj(chi: DensityMatrix) -> Channel:
-    """Rebuild the channel acting as E[rho] = d tr_ref{chi (rho^T (x) I)}."""
-    dims = chi.dims
-    if len(dims) != 2 or dims[0] != dims[1]:
-        raise DomainError(f"CJ state must live on a d x d bipartite space, got dims {dims}")
-    # chi is PSD as a state, so _channel can only refuse it as not trace preserving
-    return _channel(chi.mat, dims[0])
-
-
 def apply_channel(e: Channel, m):
-    """Apply the channel; DensityMatrix in -> DensityMatrix out (if CPTP)."""
+    """Apply the channel; DensityMatrix in -> DensityMatrix out."""
     x = m.mat if not isinstance(m, np.ndarray) else m
     if x.shape != (e.d_in, e.d_in):
         raise DomainError(f"input has shape {x.shape}, channel expects {(e.d_in, e.d_in)}")
     chi = e.cj.mat.reshape(e.d_in, e.d_out, e.d_in, e.d_out)
     out = e.d_in * np.einsum("abcd,ac->bd", chi, x)
-    if isinstance(m, DensityMatrix) and e.cptp:
+    if isinstance(m, DensityMatrix):
         return DensityMatrix(out, dims=(e.d_out,))
     return Operator(out, (e.d_out,))
 
 
 def kraus_ops(e: Channel, tol: float = 1e-12) -> list[np.ndarray]:
-    """Kraus operators from the CJ eigendecomposition (CP channels only)."""
-    if not e.cptp:
-        raise DomainError("Kraus form exists only for completely positive channels")
+    """Kraus operators from the CJ eigendecomposition."""
     vals, vecs = np.linalg.eigh((e.cj.mat + e.cj.mat.conj().T) / 2)
     ops = []
     for lam, v in zip(vals, vecs.T):
@@ -227,7 +204,7 @@ def channel_from_measure_prepare(mp: MeasurePrepare) -> Channel:
         raise DomainError("effects do not sum to the identity")
     projectors = preps[:, :, None] * preps[:, None, :].conj()
     # (I (x) E)[|phi+><phi+|] = sum_k E_k^T / d (x) |p_k><p_k|
-    return _channel(_kron_sum(effects.transpose(0, 2, 1), projectors) / d, d)
+    return Channel(d, d, Operator(_kron_sum(effects.transpose(0, 2, 1), projectors) / d, (d, d)))
 
 
 def _measure_and_prepare(
@@ -246,31 +223,7 @@ def _measure_and_prepare(
 
 def pointwise_transpose_fidelity(e: Channel, psi: Ket) -> float:
     """<psi*| E[|psi><psi|] |psi*>, the conjugation fidelity on a pure state."""
-    if not e.cptp:
-        raise DomainError("fidelity is defined for CPTP channels")
     _check_unit_norm(psi.norm())
     out = apply_channel(e, Operator(np.outer(psi.vec, psi.vec.conj())))
     target = psi.vec.conj()
     return float(np.real(target.conj() @ out.mat @ target))
-
-
-# ---------------------------------------------------------------------------
-# File format: {"d_in": d, "d_out": d, "cj": [[[re, im], ...], ...]}
-# ---------------------------------------------------------------------------
-
-
-def save_channel(e: Channel, path: str) -> None:
-    write_json({"d_in": e.d_in, "d_out": e.d_out, "cj": [_pairs(row) for row in e.cj.mat]}, path)
-
-
-def load_channel(path: str) -> Channel:
-    doc = _read_json(path)
-    for key in ("d_in", "d_out", "cj"):
-        if not isinstance(doc, dict) or key not in doc:
-            raise ParseError(f"{path}: missing key '{key}'")
-    d_in = _integer(doc["d_in"], f"{path}: 'd_in'")
-    d_out = _integer(doc["d_out"], f"{path}: 'd_out'")
-    if d_in != d_out or d_in < 1:
-        raise ParseError(f"{path}: channels must be square with d_in >= 1, got {d_in} -> {d_out}")
-    cj = _matrix(doc["cj"], d_in * d_out, f"{path}: the CJ matrix")
-    return _channel(cj, d_in)

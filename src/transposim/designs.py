@@ -43,7 +43,8 @@ def _refuse_oversized(d: int, what: str) -> None:
 class Fiducial:
     """Seed vector whose Heisenberg-Weyl orbit is intended to be a SIC family.
 
-    `twostep.build_two_step` holds the factorization it builds on the fiducial.
+    `twostep.build_two_step` and `optics.build_fig2_pipeline` hold the records
+    they build on the fiducial.
     """
 
     d: int
@@ -476,22 +477,8 @@ def fiducial_search(
 
 
 # ---------------------------------------------------------------------------
-# File format: {"dim": d, "vectors": [[[re, im], ...], ...]}
+# File format: {"dim": d, "vectors": [[[re, im], ...]]}, holding one vector
 # ---------------------------------------------------------------------------
-
-
-def _load_vectors(path: str) -> tuple[int, list[np.ndarray]]:
-    doc = _read_json(path)
-    if not isinstance(doc, dict) or "dim" not in doc or "vectors" not in doc:
-        raise ParseError(f"{path}: expected keys 'dim' and 'vectors'")
-    d = _integer(doc["dim"], f"{path}: 'dim'")
-    if not isinstance(doc["vectors"], list):
-        raise ParseError(f"{path}: 'vectors' must be a list of vectors")
-    vecs = [_vector(p) for p in doc["vectors"]]
-    for i, v in enumerate(vecs):
-        if v.size != d:
-            raise ParseError(f"{path}: vector {i} has length {v.size}, expected {d}")
-    return d, vecs
 
 
 def save_fiducial(f: Fiducial, path: str) -> None:
@@ -499,18 +486,18 @@ def save_fiducial(f: Fiducial, path: str) -> None:
 
 
 def load_fiducial(path: str) -> Fiducial:
-    d, vecs = _load_vectors(path)
-    # a design file's norms are checked by make_design, on the stack
-    _check_unit_norm([np.linalg.norm(v) for v in vecs])
+    """Read a fiducial file: its vector count, then the vector's length, then its norm."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or "dim" not in doc or "vectors" not in doc:
+        raise ParseError(f"{path}: expected keys 'dim' and 'vectors'")
+    d = _integer(doc["dim"], f"{path}: 'dim'")
+    vecs = doc["vectors"]
+    if not isinstance(vecs, list):
+        raise ParseError(f"{path}: 'vectors' must be a list of vectors")
     if len(vecs) != 1:
         raise ParseError(f"{path}: a fiducial file holds exactly one vector, found {len(vecs)}")
-    return Fiducial(d, Ket(vecs[0]))
-
-
-def save_design(g: Design, path: str) -> None:
-    write_json({"dim": g.d, "vectors": [_pairs(v) for v in g.vector_stack]}, path)
-
-
-def load_design(path: str, kind: str = "custom") -> Design:
-    # every vector has length d, so a non-empty file is checked as one (N, d) stack
-    return make_design(np.array(_load_vectors(path)[1]), kind=kind)
+    v = _vector(vecs[0])
+    if v.size != d:
+        raise ParseError(f"{path}: vector 0 has length {v.size}, expected {d}")
+    _check_unit_norm(np.linalg.norm(v))
+    return Fiducial(d, Ket(v))

@@ -3,8 +3,8 @@
 Schema: {"dims": [d1, d2, ...], "matrix": [[[re, im], ...], ...]} with rows in
 row-major order.  Parsing rejects NaN/Inf and anything that fails the
 density-matrix checks; serialization uses full-precision floats so a
-write/parse round trip is exact.  Fiducial, design and channel files share the
-strict [re, im] codec, the integer reader and `write_json` defined here.
+write/parse round trip is exact.  Fiducial files share the strict [re, im]
+codec, the integer reader and `write_json` defined here.
 """
 
 from __future__ import annotations

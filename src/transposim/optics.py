@@ -24,7 +24,7 @@ import numpy as np
 from .channels import MeasurePrepare, _measure_and_prepare
 from .designs import Fiducial
 from .errors import CalibrationError, DomainError
-from .linalg import DensityMatrix, phase_free_distance
+from .linalg import DensityMatrix, _memo, phase_free_distance
 from .twostep import build_two_step
 
 PHASE_TOL = 1e-10
@@ -37,11 +37,20 @@ class Fig2Pipeline(MeasurePrepare):
     Path p = 2k + l carries the effect |s_{k,l}><s_{k,l}| / 2; the transmission
     arm is k = 0.  The path effects and the prepared (conjugated) states are
     the read-only stacks `effect_stack` (4, 2, 2) and `preparation_stack`
-    (4, 2); `solved_phases` holds each path's phase setting.
+    (4, 2); stacks of any other shape raise DomainError.  `solved_phases`
+    holds each path's phase setting.
     """
 
     fiducial: Fiducial
     solved_phases: tuple[float, ...]
+
+    def __post_init__(self):
+        super().__post_init__()                     # effects (N, d, d) with preparations (N, d)
+        if self.preparation_stack.shape != (4, 2):
+            raise DomainError(
+                f"effects of shape {self.effect_stack.shape} with preparations of shape "
+                f"{self.preparation_stack.shape}, expected (4, 2, 2) with (4, 2): four qubit paths"
+            )
 
 
 def _solve_conjugation_phase(s: np.ndarray) -> float:
@@ -52,7 +61,16 @@ def _solve_conjugation_phase(s: np.ndarray) -> float:
 
 
 def build_fig2_pipeline(f: Fiducial) -> Fig2Pipeline:
-    """Calibrate the four-path pipeline for a qubit SIC fiducial."""
+    """Calibrate the four-path pipeline for a qubit SIC fiducial.
+
+    The first call on a fiducial builds and calibrates the pipeline, and every
+    later call returns that one record; a refused fiducial (d != 2, or a
+    CalibrationError) is refused again on every call.
+    """
+    return _memo(f, "_fig2_pipeline", _build_fig2_pipeline)
+
+
+def _build_fig2_pipeline(f: Fiducial) -> Fig2Pipeline:
     if f.d != 2:
         raise DomainError("the optical pipeline is defined for polarization qubits (d = 2)")
     ts = build_two_step(f)

@@ -2,33 +2,31 @@ import numpy as np
 import pytest
 
 from transposim import (
+    Channel,
     DensityMatrix,
     DomainError,
     NotTracePreserving,
     Operator,
-    ParseError,
     apply_channel,
     apply_to_factor,
     approx_transpose,
     basis_ket,
+    build_fig2_pipeline,
+    build_two_step,
     builtin_fiducial,
-    channel_from_cj,
+    channel_from_measure_prepare,
     cj_distance,
     cj_state,
-    depolarize_to_identity,
     haar_random_density,
     haar_random_ket,
     kraus_ops,
-    load_channel,
     make_design,
     measure_prepare_from_design,
     mub_prime,
     phase_free_distance,
     pointwise_transpose_fidelity,
-    save_channel,
     sic_from_fiducial,
     swap_operator,
-    transpose_map,
 )
 from transposim import channels, linalg
 
@@ -39,43 +37,53 @@ def naive_approx_transpose(x: np.ndarray) -> np.ndarray:
     return (x.T + np.trace(x) * np.eye(d)) / (d + 1)
 
 
-def test_transpose_cj_spectrum():
-    eigs = np.linalg.eigvalsh(transpose_map(2).cj.mat)
-    assert np.abs(np.sort(eigs) - np.array([-0.5, 0.5, 0.5, 0.5])).max() < 1e-12
-
-
-def test_transpose_action_on_matrix_unit():
-    ch = transpose_map(2)
-    unit = np.zeros((2, 2), dtype=complex)
-    unit[0, 1] = 1.0
-    out = apply_channel(ch, Operator(unit))
-    want = np.zeros((2, 2), dtype=complex)
-    want[1, 0] = 1.0
-    assert np.abs(out.mat - want).max() < 1e-12
-
-
-def test_transpose_squares_to_identity():
-    ch = transpose_map(3)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    twice = apply_channel(ch, apply_channel(ch, Operator(x)))
-    assert np.abs(twice.mat - x).max() < 1e-12
+def depolarizing(d):
+    """The channel sending every state to identity/d, built from its CJ matrix identity/d^2."""
+    return Channel(d, d, Operator(np.eye(d * d) / (d * d), (d, d)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_transpose_is_flagged_unphysical(d):
-    ch = transpose_map(d)
-    assert not ch.cptp
-    min_eig = float(np.linalg.eigvalsh(ch.cj.mat)[0])
-    assert abs(min_eig + 1.0 / d) < 1e-10
+def test_the_transpose_cj_is_refused_as_not_psd(d):
+    # the transpose's CJ matrix V/d has the eigenvalue -1/d on the antisymmetric subspace;
+    # at d = 2 three Kraus operators with sum K^dag K off the identity by 0.5 were accepted
+    with pytest.raises(DomainError) as err:
+        Channel(d, d, Operator(swap_operator(d).mat / d, (d, d)))
+    assert str(err.value) == f"CJ matrix is not PSD (min eigenvalue {-1 / d:.3e})"
+
+
+def test_a_non_trace_preserving_cj_is_refused():
+    # PSD, but its trace over the output factor is diag(1, 0), not identity/2
+    with pytest.raises(NotTracePreserving) as err:
+        Channel(2, 2, Operator(np.diag([1.0, 0, 0, 0]), (2, 2)))
+    assert err.value.residual == 0.5
+
+
+@pytest.mark.parametrize(
+    "d_in, d_out, size",
+    [(2, 2, 3), (2, 3, 4), (0, 4, 4), (-2, -2, 4), (2.0, 2, 4), (True, 4, 4)],
+    ids=["odd-size", "size-mismatch", "zero", "negative", "float", "bool"],
+)
+def test_a_channel_refuses_dimensions_that_do_not_fit_its_cj(d_in, d_out, size):
+    with pytest.raises(DomainError):
+        Channel(d_in, d_out, Operator(np.eye(size) / size))
+
+
+def test_a_channel_from_a_numpy_integer_holds_ints():
+    ch = Channel(np.int64(2), np.int64(2), approx_transpose(2).cj)
+    assert type(ch.d_in) is int and type(ch.d_out) is int
+
+
+def test_a_non_square_channel_is_checked_on_its_own_dimensions():
+    # trace and replace: rho (dimension 2) -> identity/3; CJ = identity/2 (x) identity/3 / 2
+    ch = Channel(2, 3, Operator(np.eye(6) / 6, (2, 3)))
+    out = apply_channel(ch, DensityMatrix(np.diag([1.0, 0.0])))
+    assert out.dims == (3,) and np.abs(out.mat - np.eye(3) / 3).max() < 1e-15
 
 
 def test_depolarize():
-    ch = depolarize_to_identity(2)
+    ch = depolarizing(2)
     out = apply_channel(ch, DensityMatrix(np.diag([1.0, 0.0])))
     assert np.abs(out.mat - np.eye(2) / 2).max() < 1e-12
-    assert np.abs(depolarize_to_identity(3).cj.mat - np.eye(9) / 9).max() < 1e-15
-    assert ch.cptp
 
 
 def test_approx_transpose_on_basis_state():
@@ -100,20 +108,15 @@ def test_cj_state_of_identity_channel():
     d = 3
     phi = sum(np.kron(basis_ket(d, i).vec, basis_ket(d, i).vec) for i in range(d)) / np.sqrt(d)
     chi = DensityMatrix(np.outer(phi, phi.conj()), dims=(d, d))
-    ch = channel_from_cj(chi)
+    ch = Channel(d, d, chi.op)
     assert np.abs(cj_state(ch).mat - chi.mat).max() < 1e-12
     rho = haar_random_density(d, 1)
     assert np.abs(apply_channel(ch, rho).mat - rho.mat).max() < 1e-10
 
 
-def test_cj_state_rejects_unphysical():
-    with pytest.raises(DomainError):
-        cj_state(transpose_map(2))
-
-
-def test_channel_from_cj_reproduces_approx_transpose():
+def test_a_channel_of_the_cj_state_reproduces_approx_transpose():
     chi = DensityMatrix((np.eye(4) + swap_operator(2).mat) / 6, dims=(2, 2))
-    ch = channel_from_cj(chi)
+    ch = Channel(2, 2, chi.op)
     units = []
     for i in range(2):
         for j in range(2):
@@ -125,18 +128,7 @@ def test_channel_from_cj_reproduces_approx_transpose():
         assert np.abs(got.mat - naive_approx_transpose(u)).max() < 1e-10
 
 
-def test_channel_from_cj_depolarizing():
-    ch = channel_from_cj(DensityMatrix(np.eye(4) / 4, dims=(2, 2)))
-    assert cj_distance(ch, depolarize_to_identity(2)) < 1e-12
-
-
-def test_channel_from_cj_marginal_guard():
-    bad = DensityMatrix(np.diag([1.0, 0, 0, 0]), dims=(2, 2))
-    with pytest.raises(NotTracePreserving):
-        channel_from_cj(bad)
-
-
-def test_channel_from_cj_runs_one_psd_test(monkeypatch):
+def test_building_a_channel_runs_one_psd_test(monkeypatch):
     chi = cj_state(approx_transpose(3))
     calls, psd_violation = [], linalg._psd_violation
 
@@ -146,13 +138,13 @@ def test_channel_from_cj_runs_one_psd_test(monkeypatch):
 
     monkeypatch.setattr(linalg, "_psd_violation", counting)
     monkeypatch.setattr(channels, "_psd_violation", counting)
-    channel_from_cj(chi)
+    Channel(3, 3, chi.op)
     assert calls == [(9, 9)]
 
 
 def test_cj_roundtrip_on_action():
     ch = approx_transpose(3)
-    back = channel_from_cj(cj_state(ch))
+    back = Channel(3, 3, cj_state(ch).op)
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -161,24 +153,35 @@ def test_cj_roundtrip_on_action():
         assert np.abs(a.mat - b.mat).max() < 1e-10
 
 
-def test_kraus_view():
-    for ch in (approx_transpose(3), depolarize_to_identity(2)):
-        ks = kraus_ops(ch)
-        d = ch.d_in
-        total = sum(k.conj().T @ k for k in ks)
-        assert np.abs(total - np.eye(d)).max() < 1e-10
-        rebuilt = np.zeros((d * d, d * d), dtype=complex)
-        phi = sum(np.kron(basis_ket(d, i).vec, basis_ket(d, i).vec) for i in range(d)) / np.sqrt(d)
-        proj = np.outer(phi, phi.conj())
-        for k in ks:
-            big = np.kron(np.eye(d), k)
-            rebuilt += big @ proj @ big.conj().T
-        assert np.abs(rebuilt - ch.cj.mat).max() < 1e-10
+# every way the package builds a channel (the formula, each design, the two-step
+# circuit and the optics pipeline) and one built by hand from its CJ matrix
+BUILT_CHANNELS = {
+    **{f"formula-d{d}": (lambda d=d: approx_transpose(d)) for d in range(2, 9)},
+    **{f"sic-d{d}": (lambda d=d: measure_prepare_from_design(
+        sic_from_fiducial(builtin_fiducial(d)))[1]) for d in (2, 3)},
+    **{f"mub-d{d}": (lambda d=d: measure_prepare_from_design(mub_prime(d))[1])
+       for d in (2, 3, 5, 7)},
+    **{f"two-step-d{d}": (lambda d=d: channel_from_measure_prepare(
+        build_two_step(builtin_fiducial(d)))) for d in (2, 3)},
+    "optics-d2": lambda: channel_from_measure_prepare(build_fig2_pipeline(builtin_fiducial(2))),
+    "depolarizing-d2": lambda: depolarizing(2),
+}
 
 
-def test_kraus_rejects_unphysical():
-    with pytest.raises(DomainError):
-        kraus_ops(transpose_map(2))
+@pytest.mark.parametrize("build", BUILT_CHANNELS.values(), ids=BUILT_CHANNELS.keys())
+def test_kraus_view(build):
+    ch = build()
+    ks = kraus_ops(ch)
+    d = ch.d_in
+    total = sum(k.conj().T @ k for k in ks)
+    assert np.abs(total - np.eye(d)).max() < 1e-10
+    rebuilt = np.zeros((d * d, d * d), dtype=complex)
+    phi = sum(np.kron(basis_ket(d, i).vec, basis_ket(d, i).vec) for i in range(d)) / np.sqrt(d)
+    proj = np.outer(phi, phi.conj())
+    for k in ks:
+        big = np.kron(np.eye(d), k)
+        rebuilt += big @ proj @ big.conj().T
+    assert np.abs(rebuilt - ch.cj.mat).max() < 1e-10
 
 
 @pytest.mark.parametrize("factor", [1.0, True, np.float64(1.0), "1", None, [1]])
@@ -248,7 +251,7 @@ def test_fidelity_values():
         assert abs(f - 2 / 3) < 1e-12
     f4 = pointwise_transpose_fidelity(approx_transpose(4), haar_random_ket(4, 0))
     assert abs(f4 - 2 / 5) < 1e-12
-    fdep = pointwise_transpose_fidelity(depolarize_to_identity(2), haar_random_ket(2, 1))
+    fdep = pointwise_transpose_fidelity(depolarizing(2), haar_random_ket(2, 1))
     assert abs(fdep - 1 / 2) < 1e-12
 
 
@@ -267,35 +270,8 @@ def test_linearity():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_cptp_certificate(d):
-    assert approx_transpose(d).cptp
-
-
-def test_channel_file_roundtrip(tmp_path):
-    ch = approx_transpose(3)
-    path = tmp_path / "channel.json"
-    save_channel(ch, str(path))
-    back = load_channel(str(path))
-    assert cj_distance(ch, back) == 0.0
-    assert back.cptp
-
-
-def test_channel_file_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("[1, 2]")
-    with pytest.raises(ParseError):
-        load_channel(str(path))
-    path.write_text('{"d_in": 2, "d_out": 2, "cj": [[0, 1]]}')
-    with pytest.raises(ParseError):
-        load_channel(str(path))
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_load_channel_names_the_min_eigenvalue_of_a_non_psd_cj(d, tmp_path):
-    path = tmp_path / "transpose.json"
-    save_channel(transpose_map(d), str(path))
-    cj = transpose_map(d).cj.mat
-    min_eig = np.linalg.eigvalsh((cj + cj.conj().T) / 2)[0]
-    with pytest.raises(DomainError) as err:
-        load_channel(str(path))
-    assert str(err.value) == f"CJ matrix is not PSD (min eigenvalue {min_eig:.3e})"
-    assert f"{min_eig:.3e}".startswith("-")
+    # checked here without the constructor's own test: PSD spectrum and marginal identity/d
+    cj = approx_transpose(d).cj.mat
+    assert np.linalg.eigvalsh(cj)[0] > -1e-12
+    marginal = np.einsum("abcb->ac", cj.reshape(d, d, d, d))
+    assert np.abs(marginal - np.eye(d) / d).max() < 1e-12

@@ -9,15 +9,10 @@ from transposim import (
     DomainError,
     ParseError,
     ValidationError,
-    approx_transpose,
     builtin_fiducial,
     haar_random_density,
-    load_channel,
     load_fiducial,
-    mub_prime,
     parse_state_file,
-    save_channel,
-    save_design,
     save_fiducial,
     save_state,
 )
@@ -342,6 +337,15 @@ def test_cli_malformed_fiducial_file_is_a_usage_error(tmp_path, capsys, doc):
     assert_one_line_usage_error(code, capsys)
 
 
+def test_cli_names_the_vector_count_of_a_two_vector_fiducial_file(tmp_path, capsys):
+    # the second vector is not normalized; the count is reported, not the norm
+    path = write_json(tmp_path / "two.json", {"dim": 2, "vectors": [
+        [[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.0, 0.7]]]})
+    code = main(["verify-design", "--dim", "2", "--kind", "sic", "--fiducial", path])
+    err = assert_one_line_usage_error(code, capsys)
+    assert "a fiducial file holds exactly one vector, found 2" in err
+
+
 def test_cli_json_into_missing_directory_is_a_usage_error(tmp_path, capsys):
     report = tmp_path / "missing_dir" / "report.json"
     code = main(["tripartite-demo", "--json", str(report)])
@@ -351,10 +355,6 @@ def test_cli_json_into_missing_directory_is_a_usage_error(tmp_path, capsys):
         save_state(DensityMatrix(np.eye(2) / 2), str(report))
     with pytest.raises(ParseError):
         save_fiducial(builtin_fiducial(2), str(report))
-    with pytest.raises(ParseError):
-        save_design(mub_prime(2), str(report))
-    with pytest.raises(ParseError):
-        save_channel(approx_transpose(2), str(report))
 
 
 def test_a_document_that_cannot_be_serialized_leaves_the_target_as_it_was(tmp_path):
@@ -386,16 +386,6 @@ def test_state_file_refuses_values_outside_the_codec(tmp_path, dims, first):
     doc = {"dims": dims, "matrix": [[first, [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
     with pytest.raises(ParseError):
         parse_state_file(write_json(tmp_path / "rho.json", doc))
-
-
-@pytest.mark.parametrize("d_in", ["abc", None], ids=["string", "null"])
-def test_channel_dimensions_must_be_json_integers(tmp_path, d_in):
-    path = tmp_path / "ch.json"
-    save_channel(approx_transpose(2), str(path))
-    doc = json.loads(path.read_text())
-    doc["d_in"] = d_in
-    with pytest.raises(ParseError):
-        load_channel(write_json(path, doc))
 
 
 def assert_refused_before_printing(argv, option, capsys):

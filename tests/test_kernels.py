@@ -13,17 +13,17 @@ import numpy as np
 import pytest
 
 from transposim import (
-    DensityMatrix,
+    Channel,
     DomainError,
     Fiducial,
     Ket,
     MeasurePrepare,
+    Operator,
     ValidationError,
     apply_to_factor,
     build_fig2_pipeline,
     build_two_step,
     builtin_fiducial,
-    channel_from_cj,
     channel_from_measure_prepare,
     correction_set,
     fiducial_search,
@@ -359,7 +359,7 @@ def random_cptp_channel(d, seed):
     w, u = np.linalg.eigh(marg)
     m = np.kron(u @ np.diag(w**-0.5) @ u.conj().T / np.sqrt(d), np.eye(d))
     chi = m @ x @ m.conj().T
-    return channel_from_cj(DensityMatrix((chi + chi.conj().T) / 2, dims=(d, d)))
+    return Channel(d, d, Operator((chi + chi.conj().T) / 2, (d, d)))
 
 
 @pytest.mark.parametrize("factor", [0, 1, 2])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,16 @@ def test_solved_phases_are_half_pi():
 def test_pipeline_rejects_non_qubit():
     with pytest.raises(DomainError):
         build_fig2_pipeline(builtin_fiducial(3))
+
+
+@pytest.mark.parametrize("n, d", [(9, 3), (4, 3), (2, 2), (6, 2)],
+                         ids=["qutrit-sic", "four-qutrit-paths", "two-paths", "six-paths"])
+def test_a_pipeline_refuses_anything_but_four_qubit_paths(n, d):
+    # a hand-built record with qutrit SIC stacks passed as the Fig. 2 scheme
+    pipe = build_fig2_pipeline(builtin_fiducial(2))
+    effects, preps = np.tile(np.eye(d) / n, (n, 1, 1)), np.tile(np.eye(d)[0], (n, 1))
+    with pytest.raises(DomainError, match=r"expected \(4, 2, 2\) with \(4, 2\)"):
+        dataclasses.replace(pipe, effect_stack=effects, preparation_stack=preps)
 
 
 def miscalibrate(monkeypatch):
