@@ -30,8 +30,8 @@ from .designs import (
 )
 from .errors import DomainError, NotTracePreserving
 from .linalg import (
-    DensityMatrix, Ket, Operator, _as_int, _check_index, _check_unit_norm, _frozen, _kron_sum,
-    _memo, _psd_violation,
+    DensityMatrix, Ket, Operator, _as_int, _check_hermitian, _check_index, _check_unit_norm,
+    _derived, _frozen, _kron_sum, _memo, _psd_violation,
 )
 
 CJ_TOL = 1e-10
@@ -42,9 +42,11 @@ class Channel:
     """A completely positive, trace-preserving map, held as its CJ matrix.
 
     Construction checks the (d_in d_out) x (d_in d_out) `cj`: a matrix that is
+    not Hermitian raises ValidationError("hermitian", residual), one that is
     not PSD raises DomainError naming its smallest eigenvalue, and one whose
     trace over the output factor misses identity/d_in by more than CJ_TOL
-    raises NotTracePreserving.  So every Channel is CPTP.
+    raises NotTracePreserving.  So every Channel is CPTP, and `apply_channel`
+    and `apply_to_factor` return its output on a checked state unchecked.
     """
 
     d_in: int
@@ -56,6 +58,7 @@ class Channel:
         cj = self.cj.mat
         if min(d_in, d_out) < 1 or cj.shape[0] != d_in * d_out:
             raise DomainError(f"a CJ matrix of shape {cj.shape} for a {d_in} -> {d_out} channel")
+        _check_hermitian(cj)
         violation = _psd_violation(cj)
         if violation is not None:
             raise DomainError(f"CJ matrix is not PSD (min eigenvalue {-violation:.3e})")
@@ -129,14 +132,20 @@ def cj_state(e: Channel) -> DensityMatrix:
 
 
 def apply_channel(e: Channel, m):
-    """Apply the channel; DensityMatrix in -> DensityMatrix out."""
+    """Apply the channel; DensityMatrix in -> DensityMatrix out, else Operator out.
+
+    The output on a DensityMatrix is not checked again: a checked Channel
+    sends a checked state to a state (the trace-norm bound at
+    `linalg._derived`).  Any other input is wrapped as an Operator, with
+    Operator's finiteness scan.
+    """
     x = m.mat if not isinstance(m, np.ndarray) else m
     if x.shape != (e.d_in, e.d_in):
         raise DomainError(f"input has shape {x.shape}, channel expects {(e.d_in, e.d_in)}")
     chi = e.cj.mat.reshape(e.d_in, e.d_out, e.d_in, e.d_out)
     out = e.d_in * np.einsum("abcd,ac->bd", chi, x)
     if isinstance(m, DensityMatrix):
-        return DensityMatrix(out, dims=(e.d_out,))
+        return _derived(out, (e.d_out,), state=True)
     return Operator(out, (e.d_out,))
 
 
@@ -151,7 +160,10 @@ def kraus_ops(e: Channel, tol: float = 1e-12) -> list[np.ndarray]:
 
 
 def apply_to_factor(e: Channel, rho: DensityMatrix, factor: int) -> DensityMatrix:
-    """Apply the channel to one tensor factor of a multipartite state."""
+    """Apply the channel to one tensor factor of a multipartite state.
+
+    The output is not checked again, as for `apply_channel` on a state.
+    """
     dims = rho.dims
     factor = _check_index(factor, dims)
     if dims[factor] != e.d_in:
@@ -163,8 +175,7 @@ def apply_to_factor(e: Channel, rho: DensityMatrix, factor: int) -> DensityMatri
     t = np.einsum("kim,ambcnd->kaibcnd", k, t)                  # K_k on the row index
     out = np.einsum("kaibcnd,kjn->aibcjd", t, k.conj())         # K_k^dag on the column
     new_dims = dims[:factor] + (e.d_out,) + dims[factor + 1:]
-    size = left * e.d_out * right
-    return DensityMatrix(out.reshape(size, size), dims=new_dims)
+    return _derived(out, new_dims, state=True)
 
 
 def cj_distance(a: Channel, b: Channel) -> float:
@@ -210,7 +221,11 @@ def channel_from_measure_prepare(mp: MeasurePrepare) -> Channel:
 def _measure_and_prepare(
     mp: MeasurePrepare, rho: DensityMatrix
 ) -> tuple[np.ndarray, DensityMatrix]:
-    """p_k = tr{E_k rho} and the prepared mixture sum_k p_k |p_k><p_k| (a d-dimensional state)."""
+    """p_k = tr{E_k rho} and the prepared mixture sum_k p_k |p_k><p_k| (a d-dimensional state).
+
+    The mixture is checked as a DensityMatrix: a `MeasurePrepare` does not
+    check that its effects form a POVM, so nothing vouches for the output.
+    """
     preps = mp.preparation_stack
     d = preps.shape[1]
     if rho.dim != d:

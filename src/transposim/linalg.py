@@ -184,6 +184,31 @@ class DensityMatrix:
         return self.op.dim
 
 
+def _derived(arr: np.ndarray, dims: tuple[int, ...], state: bool = False):
+    """`arr` read-only as an Operator of `dims`, or as a DensityMatrix if `state`, unchecked.
+
+    The one place that wraps a matrix the package derived from checked
+    records: `_read_only` copies `arr` (any shape with prod(dims)^2 entries),
+    and neither Operator's finiteness scan nor the state check runs, so the
+    caller vouches for both.  A permutation of a checked operator's entries is
+    finite.  A checked `Channel` (Hermitian, PSD, trace-preserving CJ matrix)
+    sends a checked state to a state: it maps Hermitian operators to Hermitian
+    ones, keeps the trace (to d_in^2 * CJ_TOL), and for rho = rho_+ - rho_-
+    gives lambda_min(Phi(rho)) >= -tr Phi(rho_-) = -||rho_-||_1, since a CPTP
+    map is contractive in trace norm.  The output's negative part is bounded
+    by the input's, which `DensityMatrix` held above its floor.
+    """
+    size = math.prod(dims)
+    op = object.__new__(Operator)
+    object.__setattr__(op, "mat", _read_only(arr).reshape(size, size))
+    object.__setattr__(op, "dims", dims)
+    if not state:
+        return op
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "op", op)
+    return rho
+
+
 def basis_ket(d: int, i: int, dims=None) -> Ket:
     """Computational basis vector |i> in dimension d."""
     d, i = _as_int(d, "dimension"), _as_int(i, "basis index")
@@ -313,14 +338,8 @@ def partial_transpose(m: Operator, sub) -> Operator:
     axes = list(range(2 * n))
     for s in subs:
         axes[s], axes[s + n] = s + n, s
-    mat = m.mat
-    # a permutation of a validated operator's entries is finite and keeps its
-    # dims: `_read_only` makes the one copy, and Operator's copy and scan are skipped
-    pt = _read_only(mat.reshape(dims + dims).transpose(axes)).reshape(mat.shape)
-    op = object.__new__(Operator)
-    object.__setattr__(op, "mat", pt)
-    object.__setattr__(op, "dims", dims)
-    return op
+    # a permutation of a checked operator's entries is finite and keeps its dims
+    return _derived(m.mat.reshape(dims + dims).transpose(axes), dims)
 
 
 def permute_subsystems(m: Operator, perm) -> Operator:

@@ -72,9 +72,10 @@ class SeparableDecomposition:
 
     def __init__(self, weights, left_stack, right_stack):
         weights = np.asarray(weights, dtype=float)
-        if np.any(weights < 0):
-            raise DomainError("decomposition weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        # written so that a NaN weight fails both tests
+        if not np.all(weights >= 0):
+            raise DomainError("decomposition weights must be nonnegative numbers")
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise DomainError(f"decomposition weights sum to {weights.sum():.15g}, expected 1")
         left, right = _frozen(left_stack), _frozen(right_stack)
         for stack in (left, right):

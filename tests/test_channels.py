@@ -7,6 +7,7 @@ from transposim import (
     DomainError,
     NotTracePreserving,
     Operator,
+    ValidationError,
     apply_channel,
     apply_to_factor,
     approx_transpose,
@@ -29,6 +30,7 @@ from transposim import (
     swap_operator,
 )
 from transposim import channels, linalg
+from test_kernels import count_constructions
 
 
 def naive_approx_transpose(x: np.ndarray) -> np.ndarray:
@@ -49,6 +51,18 @@ def test_the_transpose_cj_is_refused_as_not_psd(d):
     with pytest.raises(DomainError) as err:
         Channel(d, d, Operator(swap_operator(d).mat / d, (d, d)))
     assert str(err.value) == f"CJ matrix is not PSD (min eigenvalue {-1 / d:.3e})"
+
+
+def test_a_non_hermitian_cj_is_refused():
+    # its Hermitian part is the approximate transpose's CJ matrix, PSD and trace
+    # preserving, so it was accepted: kraus_ops described only that part, and
+    # apply_channel failed on its output's state check
+    z = np.diag([1.0, -1.0])
+    cj = (np.eye(4) + swap_operator(2).mat) / 6 + 0.05j * np.kron(z, z)
+    with pytest.raises(ValidationError) as err:
+        Channel(2, 2, Operator(cj, (2, 2)))
+    assert err.value.check == "hermitian"
+    assert err.value.residual == pytest.approx(0.1)
 
 
 def test_a_non_trace_preserving_cj_is_refused():
@@ -275,3 +289,115 @@ def test_cptp_certificate(d):
     assert np.linalg.eigvalsh(cj)[0] > -1e-12
     marginal = np.einsum("abcb->ac", cj.reshape(d, d, d, d))
     assert np.abs(marginal - np.eye(d) / d).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# a checked channel's output on a checked state is a state, and is not checked again
+# ---------------------------------------------------------------------------
+
+
+def min_eigenvalue(m):
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+
+
+def negative_mass(m):
+    """||rho_-||_1: a CPTP map's output has lambda_min >= -||rho_-||_1."""
+    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    return float(-eigs[eigs < 0].sum())
+
+
+def test_a_near_floor_state_goes_through_apply_to_factor():
+    # DensityMatrix accepts rho, but the channel shrinks the largest eigenvalue
+    # to 2/3 and the relative PSD floor with it: a state check of the output
+    # refused it with "psd (residual 9.000e-10)"
+    eps = 9e-10
+    rho = DensityMatrix(np.diag([1 + 2 * eps, -eps, 0, -eps]), dims=(2, 2))
+    for factor in (0, 1):
+        out = apply_to_factor(approx_transpose(2), rho, factor)
+        assert min_eigenvalue(out.mat) >= -2 * eps - 1e-15
+
+
+def near_floor_state(rng, dim):
+    """A state with negative eigenvalues just above DensityMatrix's floor -PSD_TOL * max|lambda|."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u = np.linalg.qr(g)[0]
+    eigs = rng.uniform(0, 1, dim)
+    eigs[0] = 1.0
+    n_neg = int(rng.integers(1, dim))
+    eigs[1:1 + n_neg] = -linalg.PSD_TOL * rng.uniform(0.5, 0.95, n_neg)
+    m = (u * eigs) @ u.conj().T
+    return m / np.trace(m).real
+
+
+@pytest.mark.parametrize("dims, d", [((2, 2), 2), ((2, 2, 2), 2), ((3, 3), 3)])
+def test_outputs_on_near_floor_states_keep_the_trace_norm_bound(dims, d):
+    rng = np.random.default_rng(23)
+    big_d = int(np.prod(dims))
+    for _ in range(20):
+        rho = DensityMatrix(near_floor_state(rng, big_d), dims=dims)
+        bound = -negative_mass(rho.mat) - 1e-15
+        assert min_eigenvalue(apply_channel(approx_transpose(big_d), rho).mat) >= bound
+        for factor in range(len(dims)):
+            out = apply_to_factor(approx_transpose(d), rho, factor)
+            assert min_eigenvalue(out.mat) >= bound
+
+
+def test_applying_a_channel_to_a_state_builds_no_wrapper(monkeypatch):
+    ch2, ch4 = approx_transpose(2), approx_transpose(4)
+    rho = haar_random_density(4, 5, dims=(2, 2))
+    counts = count_constructions(monkeypatch, ("Ket", "Operator", "DensityMatrix"))
+    apply_channel(ch4, rho)
+    apply_to_factor(ch2, rho, 1)
+    assert counts == {"Ket": 0, "Operator": 0, "DensityMatrix": 0}
+
+
+def random_state(rng, dim, rank):
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def factor_contraction(e, rho, factor):
+    """apply_to_factor's contraction written out: the stacked Kraus operators on one factor."""
+    dims = rho.dims
+    left, right = int(np.prod(dims[:factor])), int(np.prod(dims[factor + 1:]))
+    k = np.stack(kraus_ops(e))
+    t = rho.mat.reshape(left, e.d_in, right, left, e.d_in, right)
+    t = np.einsum("kim,ambcnd->kaibcnd", k, t)
+    out = np.einsum("kaibcnd,kjn->aibcjd", t, k.conj())
+    size = left * e.d_out * right
+    return out.reshape(size, size)
+
+
+# realize-transpose's state shapes: one factor of d = 2..8, and two multipartite ones
+OUTPUT_SHAPES = [(d,) for d in range(2, 9)] + [(2, 2, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("dims", OUTPUT_SHAPES, ids=str)
+def test_a_channel_output_is_a_state_as_computed(dims):
+    # every channel the package builds, on seeded states of every rank: each
+    # output would have passed the state check, and holds the computed matrix
+    # bit for bit in an array that cannot be made writable
+    rng = np.random.default_rng(list(dims))
+    big_d = int(np.prod(dims))
+    built = [build() for build in BUILT_CHANNELS.values()]
+    outputs = []
+    for rank in range(1, big_d + 1):
+        rho = DensityMatrix(random_state(rng, big_d, rank), dims=dims)
+        if len(dims) == 1:
+            for ch in (c for c in built if c.d_in == big_d):
+                # the Operator path wraps the same product through Operator's own check
+                expected = apply_channel(ch, Operator(rho.mat)).mat
+                outputs.append((apply_channel(ch, rho), expected))
+        else:
+            for factor, d in enumerate(dims):
+                for ch in (c for c in built if c.d_in == d):
+                    expected = factor_contraction(ch, rho, factor)
+                    outputs.append((apply_to_factor(ch, rho, factor), expected))
+    assert outputs
+    for out, expected in outputs:
+        assert isinstance(out, DensityMatrix) and out.dims == dims
+        DensityMatrix(out.mat, dims=out.dims)
+        assert out.mat.tobytes() == np.ascontiguousarray(expected).tobytes()
+        with pytest.raises(ValueError):
+            out.mat.setflags(write=True)

@@ -151,6 +151,9 @@ def test_decomposition_holds_read_only_copies():
     [
         ([1.5, -0.5], 2, 2, "nonnegative"),
         ([0.5, 0.25], 2, 2, "sum to"),
+        # NaN < 0 and |NaN - 1| > 1e-12 are both false, so this was accepted
+        ([np.nan], 1, 1, "nonnegative"),
+        ([np.inf, 0.0], 2, 2, "sum to"),
         ([0.5, 0.5], 2, 3, "equal length"),
         ([0.5, 0.5], 3, 3, "equal length"),
         ([[0.5, 0.5]], 2, 2, "equal length"),

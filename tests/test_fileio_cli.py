@@ -159,6 +159,20 @@ def test_cli_apply_cross_check(tmp_path, capsys):
     assert "pass" in out
 
 
+def test_cli_apply_keeps_the_files_factor_dims(tmp_path, capsys):
+    # the channel acts on the whole 4-dimensional space; the output is written
+    # with the file's two qubit factors
+    state, out_path, json_path = singlet_file(tmp_path), tmp_path / "out.json", tmp_path / "r.json"
+    argv = ["apply-approx-transpose", "--state", state, "--via", "formula"]
+    assert main(argv + ["--out", str(out_path), "--json", str(json_path)]) == 0
+    transformed = parse_state_file(str(out_path))
+    assert transformed.dims == (2, 2)
+    singlet = parse_state_file(state).mat
+    expected = (singlet.T + np.eye(4)) / 5
+    assert np.abs(transformed.mat - expected).max() < 1e-12
+    assert json.loads(json_path.read_text())["output_state"]["dims"] == [2, 2]
+
+
 def test_cli_apply_qubit_all_vias(tmp_path, capsys):
     rho = DensityMatrix(np.diag([1.0, 0.0]))
     path = tmp_path / "zero.json"

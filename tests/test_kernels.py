@@ -458,8 +458,8 @@ def test_every_realization_record_refuses_malformed_stacks(record, case):
         dataclasses.replace(valid, effect_stack=effects, preparation_stack=preps)
 
 
-def count_constructions(monkeypatch):
-    counts = {"Ket": 0, "Operator": 0}
+def count_constructions(monkeypatch, names=("Ket", "Operator")):
+    counts = dict.fromkeys(names, 0)
     for name in counts:
         cls = getattr(linalg, name)
 
