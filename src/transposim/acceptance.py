@@ -191,10 +191,10 @@ def criterion_07_pmin(max_dim: int = 5) -> CriterionResult:
         p = spa_pmin(w)
         worst = max(worst, abs(p - d / (d + 1.0)))
         big_d = d * d
-        state = (1 - p) * w.op.mat + p * np.eye(big_d) / big_d
+        state = (1 - p) * w.mat + p * np.eye(big_d) / big_d
         at_p = float(np.linalg.eigvalsh(state)[0])
         p_low = p * (1 - 1e-6)
-        below = (1 - p_low) * w.op.mat + p_low * np.eye(big_d) / big_d
+        below = (1 - p_low) * w.mat + p_low * np.eye(big_d) / big_d
         at_low = float(np.linalg.eigvalsh(below)[0])
         certified = certified and at_p >= -1e-12 and at_low < -1e-12
     return _result(

@@ -25,16 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import (
-    _SHARED_MAX_DIM, COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap, _refuse_oversized,
-)
+from .designs import _SHARED_MAX_DIM, COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap
 from .errors import DomainError, NotTracePreserving
 from .linalg import (
     DensityMatrix, Ket, Operator, _as_int, _check_hermitian, _check_index, _check_unit_norm,
-    _derived, _frozen, _kron_sum, _memo, _psd_violation,
+    _frozen, _kron_sum, _memo, _psd_violation, _refuse_oversized,
 )
 
 CJ_TOL = 1e-10
+# CJ eigenvalues at or below this give no Kraus operator
+KRAUS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,9 +44,11 @@ class Channel:
     Construction checks the (d_in d_out) x (d_in d_out) `cj`: a matrix that is
     not Hermitian raises ValidationError("hermitian", residual), one that is
     not PSD raises DomainError naming its smallest eigenvalue, and one whose
-    trace over the output factor misses identity/d_in by more than CJ_TOL
-    raises NotTracePreserving.  So every Channel is CPTP, and `apply_channel`
-    and `apply_to_factor` return its output on a checked state unchecked.
+    trace over the output factor, identity/d_in + Delta, has d_in ||Delta||_F
+    above CJ_TOL raises NotTracePreserving with that residual.  The output
+    trace is 1 + d_in tr(Delta rho^T), so the residual bounds |tr Phi(rho) - 1|
+    over every state.  So every Channel is CPTP, and `apply_channel` and
+    `apply_to_factor` return its output on a checked state unchecked.
     """
 
     d_in: int
@@ -64,10 +66,11 @@ class Channel:
             raise DomainError(f"CJ matrix is not PSD (min eigenvalue {-violation:.3e})")
         # the trace over the output factor must equal identity/d_in on the reference copy
         marg = np.einsum("abcb->ac", cj.reshape(d_in, d_out, d_in, d_out))
-        residual = float(np.abs(marg - np.eye(d_in) / d_in).max())
+        residual = d_in * float(np.linalg.norm(marg - np.eye(d_in) / d_in))
         if not residual <= CJ_TOL:
             raise NotTracePreserving(
-                f"CJ marginal deviates from identity/d by {residual:.3e}", residual=residual
+                f"CJ marginal misses identity/d: output trace off by up to {residual:.3e}",
+                residual=residual,
             )
         object.__setattr__(self, "d_in", d_in)
         object.__setattr__(self, "d_out", d_out)
@@ -100,7 +103,7 @@ class MeasurePrepare:
 
 
 def _check_dim(d, what: str = "a channel") -> int:
-    """A channel dimension as an int: an integer (by `_as_int`) from 2 to `designs.MAX_DIM`."""
+    """A channel dimension as an int: an integer (by `_as_int`) from 2 to `linalg.MAX_DIM`."""
     d = _as_int(d, "dimension")
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
@@ -128,7 +131,7 @@ def _approx_transpose(d: int) -> Channel:
 
 def cj_state(e: Channel) -> DensityMatrix:
     """The CJ matrix as a bipartite quantum state."""
-    return DensityMatrix(e.cj)
+    return DensityMatrix(e.cj.mat, e.cj.dims)
 
 
 def apply_channel(e: Channel, m):
@@ -136,7 +139,7 @@ def apply_channel(e: Channel, m):
 
     The output on a DensityMatrix is not checked again: a checked Channel
     sends a checked state to a state (the trace-norm bound at
-    `linalg._derived`).  Any other input is wrapped as an Operator, with
+    `Operator._derived`).  Any other input is wrapped as an Operator, with
     Operator's finiteness scan.
     """
     x = m.mat if not isinstance(m, np.ndarray) else m
@@ -145,16 +148,16 @@ def apply_channel(e: Channel, m):
     chi = e.cj.mat.reshape(e.d_in, e.d_out, e.d_in, e.d_out)
     out = e.d_in * np.einsum("abcd,ac->bd", chi, x)
     if isinstance(m, DensityMatrix):
-        return _derived(out, (e.d_out,), state=True)
+        return DensityMatrix._derived(out, (e.d_out,))
     return Operator(out, (e.d_out,))
 
 
-def kraus_ops(e: Channel, tol: float = 1e-12) -> list[np.ndarray]:
+def kraus_ops(e: Channel) -> list[np.ndarray]:
     """Kraus operators from the CJ eigendecomposition."""
     vals, vecs = np.linalg.eigh((e.cj.mat + e.cj.mat.conj().T) / 2)
     ops = []
     for lam, v in zip(vals, vecs.T):
-        if lam > tol:
+        if lam > KRAUS_TOL:
             ops.append(np.sqrt(e.d_in * lam) * v.reshape(e.d_in, e.d_out).T)
     return ops
 
@@ -175,7 +178,7 @@ def apply_to_factor(e: Channel, rho: DensityMatrix, factor: int) -> DensityMatri
     t = np.einsum("kim,ambcnd->kaibcnd", k, t)                  # K_k on the row index
     out = np.einsum("kaibcnd,kjn->aibcjd", t, k.conj())         # K_k^dag on the column
     new_dims = dims[:factor] + (e.d_out,) + dims[factor + 1:]
-    return _derived(out, new_dims, state=True)
+    return DensityMatrix._derived(out, new_dims)
 
 
 def cj_distance(a: Channel, b: Channel) -> float:

@@ -161,7 +161,7 @@ def cmd_apply(args) -> int:
         print(f"error: --via {args.via} is not available in dimension {d}", file=sys.stderr)
         return USAGE_ERROR
     from .channels import apply_channel, cj_distance
-    from .linalg import _derived
+    from .linalg import DensityMatrix
 
     channels = {v: _build_via(v, d, f) for v in vias}
     distances = {}
@@ -172,7 +172,7 @@ def cmd_apply(args) -> int:
             distances[f"{a}|{b}"] = dist
             worst = max(worst, dist)
     # the channel's output on the file's state, re-labelled with the file's factor dims
-    out = _derived(apply_channel(channels[args.via], rho).mat, rho.dims, state=True)
+    out = DensityMatrix._derived(apply_channel(channels[args.via], rho).mat, rho.dims)
     print(f"dimension       : {d}")
     print(f"via             : {args.via}")
     for k, v in distances.items():

@@ -16,27 +16,17 @@ import numpy as np
 
 from .errors import DomainError, NotPrimeError, NotSICError, ParseError, SearchFailed
 from .fileio import _integer, _pairs, _read_json, _vector, write_json
-from .linalg import Ket, _as_int, _as_seed, _check_unit_norm, _frozen
+from .linalg import Ket, _as_int, _as_seed, _check_unit_norm, _frozen, _refuse_oversized
 
 TWO_DESIGN_TOL = 1e-10
 COHERENCE_TOL = 1e-10
 SIC_OVERLAP_TOL = 1e-9
-# the two-design, SIC overlap and search certificate checks and the channels'
-# CJ matrices hold d^2 x d^2 matrices, about d^4 complex entries (268 MB at
-# d = 64; the search objectives hold d^3); larger dimensions are refused before
-# anything is allocated
-MAX_DIM = 64
 # `mub_prime` and `channels.approx_transpose` build and check one record per
 # dimension d <= 8, held for the life of the process and shared by every call:
 # d^2 <= 64 is the package's limit on total dimension, and the records so held
 # take about 150 KB (about 270 KB once each MUB set holds its measure-and-prepare
 # pair).  A larger d is built afresh on every call.
 _SHARED_MAX_DIM = 8
-
-
-def _refuse_oversized(d: int, what: str) -> None:
-    if d > MAX_DIM:
-        raise DomainError(f"{what} is limited to dimension <= {MAX_DIM}, got {d}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,27 +98,17 @@ def coherence_residual(vectors: np.ndarray, d: int) -> float:
 def make_design(vectors, kind: str = "custom") -> Design:
     """Bundle unit vectors with their verified two-design/coherence residuals.
 
-    `vectors` is an (N, d) array, checked as one stack, or a sequence of
-    vectors or `Ket`s, which may differ in dimension and are refused if so.
+    `vectors` is an (N, d) array, checked as one stack; any other shape is a
+    DomainError.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        arr = _frozen(vectors)
-        n = n_same = len(arr)
-        d = arr.shape[1]
-    else:
-        kets = tuple(v if isinstance(v, Ket) else Ket(v) for v in vectors)
-        n = len(kets)
-        d = kets[0].dim if kets else 0
-        # the first vector of another dimension ends the batch; a norm failure
-        # before it is reported first, as a vector-by-vector scan would
-        n_same = next((i for i, k in enumerate(kets) if k.dim != d), n)
-        arr = _frozen([k.vec for k in kets[:n_same]])
+    arr = _frozen(vectors)
+    if arr.ndim != 2:
+        raise DomainError(f"a design is an (N, d) array of vectors, got shape {arr.shape}")
+    n, d = arr.shape
     if not n:
         raise DomainError("a design needs at least one vector")
     _refuse_oversized(d, "a design")
     _check_unit_norm(np.linalg.norm(arr, axis=1))
-    if n_same < n:
-        raise DomainError(f"vector {n_same} has dimension {kets[n_same].dim}, expected {d}")
     res2 = two_design_residual(arr, d)
     resc = coherence_residual(arr, d)
     if res2 < TWO_DESIGN_TOL and n < d * (d + 1) // 2:
@@ -288,7 +268,6 @@ def _mub_prime(d: int) -> Design:
 # ---------------------------------------------------------------------------
 
 FP_EXCESS_TOL = 1e-10
-OVERLAP_DEV_TOL = 1e-6
 # accepted candidates are polished well past the certificate so the orbit also
 # clears the stricter SIC overlap check (1e-9) with margin
 OVERLAP_DEV_ACCEPT = 1e-10
@@ -422,37 +401,23 @@ def _overlap_dev_and_grad(x: np.ndarray, d: int) -> tuple[float, np.ndarray]:
     return val, np.concatenate([2.0 * g.real, 2.0 * g.imag])
 
 
-def fiducial_search(
-    d: int,
-    seed: int,
-    max_iters: int = 20000,
-    start: Fiducial | None = None,
-) -> Fiducial:
+def fiducial_search(d: int, seed: int, max_iters: int = 20000) -> Fiducial:
     """Search for a SIC fiducial by multi-restart frame-potential minimization.
 
     `max_iters` is the total optimizer-iteration budget across restarts.  A
     candidate is accepted only on the certificate: orbit frame potential within
-    1e-10 of 2 d^3/(d+1) and every cross overlap within 1e-6 of 1/(d+1).  If
-    `start` already certifies, it is returned unchanged.
+    1e-10 of 2 d^3/(d+1) and every cross overlap within 1e-10 of 1/(d+1).
     """
     d = _as_int(d, "dimension")
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
     _refuse_oversized(d, "fiducial search")
     seed = _as_seed(seed)
-    if start is not None:
-        excess, dev = orbit_certificate(start)
-        if abs(excess) < FP_EXCESS_TOL and dev < OVERLAP_DEV_TOL:
-            return start
     budget = int(max_iters)
     best_excess = np.inf
     restart = 0
     while budget > 0:
-        rng = np.random.default_rng([seed, restart])
-        if restart == 0 and start is not None:
-            x0 = np.concatenate([start.ket.vec.real, start.ket.vec.imag])
-        else:
-            x0 = rng.standard_normal(2 * d)
+        x0 = np.random.default_rng([seed, restart]).standard_normal(2 * d)
         res = minimize(_orbit_fp_and_grad, x0, args=(d,),
                        maxiter=min(800, budget), ftol=1e-18, gtol=1e-14)
         budget -= max(1, int(res.nit))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .linalg import DensityMatrix, Operator
+from .linalg import DensityMatrix
 
 
 def _read_json(path: str):
@@ -83,7 +83,7 @@ def parse_state_file(path: str) -> DensityMatrix:
     if not dims or any(d < 1 for d in dims):
         raise ParseError(f"{path}: dims must be positive integers, got {dims}")
     mat = _matrix(doc["matrix"], math.prod(dims), f"{path}: the matrix for dims {dims}")
-    return DensityMatrix(Operator(mat, dims))
+    return DensityMatrix(mat, dims)
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:

@@ -20,6 +20,11 @@ HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 NORM_TOL = 1e-12
+# the two-design, SIC overlap and search certificate checks, the channels' CJ
+# matrices, swap_operator(d) and haar_random_density(d) hold d^2 x d^2
+# matrices, about d^4 complex entries (268 MB at d = 64); larger dimensions
+# are refused before anything is allocated
+MAX_DIM = 64
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -94,6 +99,11 @@ def _psd_violation(m: np.ndarray, h: np.ndarray | None = None) -> float | None:
     return float(-eigs[0]) if eigs[0] < floor else None
 
 
+def _refuse_oversized(d: int, what: str) -> None:
+    if d > MAX_DIM:
+        raise DomainError(f"{what} is limited to dimension <= {MAX_DIM}, got {d}")
+
+
 def _as_dims(dims, total: int) -> tuple[int, ...]:
     dims = (total,) if dims is None else tuple(map(int, dims))
     if any(d < 1 for d in dims):
@@ -128,7 +138,11 @@ class Ket:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A square complex matrix with attached tensor-factor dimensions."""
+    """A square complex matrix with attached tensor-factor dimensions.
+
+    `DensityMatrix` and `witness.Witness` are Operators that add their own
+    checks to this constructor.
+    """
 
     mat: np.ndarray
     dims: tuple[int, ...]
@@ -144,10 +158,32 @@ class Operator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    @classmethod
+    def _derived(cls, arr: np.ndarray, dims: tuple[int, ...]):
+        """`arr` read-only as a `cls` of `dims`, unchecked.
+
+        The one place that wraps a matrix the package derived from checked
+        records: `_read_only` copies `arr` (any shape with prod(dims)^2
+        entries), and neither Operator's finiteness scan nor the check of
+        `cls` runs, so the caller vouches for both.  A permutation of a checked
+        operator's entries is finite.  A checked `Channel` (Hermitian, PSD,
+        trace-preserving CJ matrix) sends a checked state to a state: it maps
+        Hermitian operators to Hermitian ones, keeps the trace (to CJ_TOL), and
+        for rho = rho_+ - rho_- gives lambda_min(Phi(rho)) >= -tr Phi(rho_-) =
+        -||rho_-||_1, since a CPTP map is contractive in trace norm.  The
+        output's negative part is bounded by the input's, which `DensityMatrix`
+        held above its floor.
+        """
+        size = math.prod(dims)
+        out = object.__new__(cls)
+        object.__setattr__(out, "mat", _read_only(arr).reshape(size, size))
+        object.__setattr__(out, "dims", dims)
+        return out
+
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A validated quantum state: Hermitian, unit trace, PSD within tolerance.
+class DensityMatrix(Operator):
+    """A validated quantum state: an Operator that is Hermitian, unit trace, PSD within tolerance.
 
     This is the one state check.  A failure raises ValidationError naming the
     first check that fails, in the order hermitian, trace, psd, with its
@@ -157,56 +193,15 @@ class DensityMatrix:
     (`_psd_violation`); eigvalsh runs only to name a failure.
     """
 
-    op: Operator
-
-    def __init__(self, op: Operator | np.ndarray, dims=None):
-        if not isinstance(op, Operator):
-            op = Operator(op, dims)
-        m = op.mat
+    def __init__(self, mat, dims=None):
+        super().__init__(mat, dims)
+        m = self.mat
         mh = _check_hermitian(m, unit_trace=True)
         h = m + mh
         h /= 2
         violation = _psd_violation(m, h)
         if violation is not None:
             raise ValidationError("psd", violation)
-        object.__setattr__(self, "op", op)
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.op.dims
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
-
-def _derived(arr: np.ndarray, dims: tuple[int, ...], state: bool = False):
-    """`arr` read-only as an Operator of `dims`, or as a DensityMatrix if `state`, unchecked.
-
-    The one place that wraps a matrix the package derived from checked
-    records: `_read_only` copies `arr` (any shape with prod(dims)^2 entries),
-    and neither Operator's finiteness scan nor the state check runs, so the
-    caller vouches for both.  A permutation of a checked operator's entries is
-    finite.  A checked `Channel` (Hermitian, PSD, trace-preserving CJ matrix)
-    sends a checked state to a state: it maps Hermitian operators to Hermitian
-    ones, keeps the trace (to d_in^2 * CJ_TOL), and for rho = rho_+ - rho_-
-    gives lambda_min(Phi(rho)) >= -tr Phi(rho_-) = -||rho_-||_1, since a CPTP
-    map is contractive in trace norm.  The output's negative part is bounded
-    by the input's, which `DensityMatrix` held above its floor.
-    """
-    size = math.prod(dims)
-    op = object.__new__(Operator)
-    object.__setattr__(op, "mat", _read_only(arr).reshape(size, size))
-    object.__setattr__(op, "dims", dims)
-    if not state:
-        return op
-    rho = object.__new__(DensityMatrix)
-    object.__setattr__(rho, "op", op)
-    return rho
 
 
 def basis_ket(d: int, i: int, dims=None) -> Ket:
@@ -225,7 +220,8 @@ def identity(dims) -> Operator:
 
 
 def swap_operator(d: int) -> Operator:
-    """The swap V on a d x d bipartite space: V|i,j> = |j,i>."""
+    """The swap V on a d x d bipartite space: V|i,j> = |j,i>, for d <= MAX_DIM."""
+    _refuse_oversized(d, "the swap operator")
     v = np.eye(d * d).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)
     return Operator(v, (d, d))
 
@@ -339,7 +335,7 @@ def partial_transpose(m: Operator, sub) -> Operator:
     for s in subs:
         axes[s], axes[s + n] = s + n, s
     # a permutation of a checked operator's entries is finite and keeps its dims
-    return _derived(m.mat.reshape(dims + dims).transpose(axes), dims)
+    return Operator._derived(m.mat.reshape(dims + dims).transpose(axes), dims)
 
 
 def permute_subsystems(m: Operator, perm) -> Operator:
@@ -365,11 +361,14 @@ def haar_random_ket(d: int, seed: int, dims=None) -> Ket:
 
 
 def haar_random_density(d: int, seed: int, dims=None) -> DensityMatrix:
-    """Random mixed state: reduced state of a Haar-random pure state on a doubled space."""
+    """Random mixed state: reduced state of a Haar-random pure state on a doubled space.
+
+    d <= MAX_DIM, since the pure state's projector has d^4 entries.
+    """
     d = _as_int(d, "dimension")
+    _refuse_oversized(d, "a random density matrix")
     psi = haar_random_ket(d * d, seed, dims=(d, d))
-    rho = partial_trace(outer(psi), keep=[0])
-    return DensityMatrix(Operator(rho.mat, dims if dims is not None else (d,)))
+    return DensityMatrix(partial_trace(outer(psi), keep=[0]).mat, dims)
 
 
 def phase_free_distance(u: Ket | np.ndarray, v: Ket | np.ndarray) -> float:
@@ -386,8 +385,6 @@ def phase_free_distance(u: Ket | np.ndarray, v: Ket | np.ndarray) -> float:
     return float(np.linalg.norm(u - phase * v))
 
 
-def real_trace_product(a: Operator | DensityMatrix, b: Operator | DensityMatrix) -> float:
+def real_trace_product(a: Operator, b: Operator) -> float:
     """tr{a b} for Hermitian factors (imaginary part is numerical noise)."""
-    am = a.mat if not isinstance(a, np.ndarray) else a
-    bm = b.mat if not isinstance(b, np.ndarray) else b
-    return float((am.T * bm).sum().real)
+    return float((a.mat.T * b.mat).sum().real)

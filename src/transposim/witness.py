@@ -41,22 +41,12 @@ _MAX_TOTAL_DIM = 64
 
 
 @dataclass(frozen=True, eq=False)
-class Witness:
-    """A normalized entanglement witness: Hermitian with unit trace."""
+class Witness(Operator):
+    """A normalized entanglement witness: an Operator, Hermitian with unit trace."""
 
-    op: Operator
-
-    def __init__(self, op: Operator):
-        _check_hermitian(op.mat, unit_trace=True)
-        object.__setattr__(self, "op", op)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.op.dims
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
+    def __init__(self, mat, dims=None):
+        super().__init__(mat, dims)
+        _check_hermitian(self.mat, unit_trace=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +114,12 @@ class DetectionReport:
 def transpose_witness(d: int) -> Witness:
     """The swap-based witness V/d: unit trace, minimum eigenvalue -1/d."""
     d = _check_dim(d, "the transpose witness")
-    return Witness(Operator(swap_operator(d).mat / d, (d, d)))
+    return Witness(swap_operator(d).mat / d, (d, d))
 
 
 def spa_pmin(w: Witness) -> float:
     """Minimal white-noise weight making (1-p) W + p I/D positive semidefinite."""
-    lam = float(np.linalg.eigvalsh((w.op.mat + w.op.mat.conj().T) / 2)[0])
+    lam = float(np.linalg.eigvalsh((w.mat + w.mat.conj().T) / 2)[0])
     if lam >= 0:
         return 0.0
     big_d = w.dim
@@ -140,18 +130,11 @@ def aew(w: Witness) -> ApproxWitness:
     """The approximate witness state (1 - p_min) W + p_min I/D with its threshold."""
     p = spa_pmin(w)
     big_d = w.dim
-    state = DensityMatrix(
-        Operator((1.0 - p) * w.op.mat + p * np.eye(big_d) / big_d, w.dims)
-    )
+    state = DensityMatrix((1.0 - p) * w.mat + p * np.eye(big_d) / big_d, w.dims)
     return ApproxWitness(state=state, p_min=p, threshold=p / big_d, cut=(0,))
 
 
-def detect(
-    rho: DensityMatrix,
-    a: ApproxWitness,
-    cut_label: str = "A|B",
-    ppt_subsystems: tuple[int, ...] | None = None,
-) -> CutResult:
+def detect(rho: DensityMatrix, a: ApproxWitness, cut_label: str = "A|B") -> CutResult:
     """Evaluate tr{rho rho_W} against the threshold, with a PPT cross-check.
 
     The verdict is `detected` below threshold - 1e-9, `boundary` within the
@@ -171,10 +154,9 @@ def detect(
         verdict = "detected"
     else:
         verdict = "not-detected"
-    subs = a.cut if ppt_subsystems is None else tuple(ppt_subsystems)
     # rho is already a validated state; only its factor dimensions follow the witness
-    op = rho.op if rho.dims == state.dims else Operator(rho.mat, state.dims)
-    ppt_verdict, min_eig = ppt_check(op, subs)
+    op = rho if rho.dims == state.dims else Operator(rho.mat, state.dims)
+    ppt_verdict, min_eig = ppt_check(op, a.cut)
     return CutResult(
         cut=cut_label,
         value=value,
@@ -186,7 +168,7 @@ def detect(
     )
 
 
-def ppt_check(rho: DensityMatrix | Operator, cut) -> tuple[str, float]:
+def ppt_check(rho: Operator, cut) -> tuple[str, float]:
     """Partial-transpose test across the given subsystems: (NPT|PPT, min eigenvalue).
 
     One partial transpose moves every factor of the cut; the eigensolve runs

@@ -66,10 +66,24 @@ def test_a_non_hermitian_cj_is_refused():
 
 
 def test_a_non_trace_preserving_cj_is_refused():
-    # PSD, but its trace over the output factor is diag(1, 0), not identity/2
+    # PSD, but its trace over the output factor is diag(1, 0), not identity/2:
+    # the residual is d_in ||diag(1/2, -1/2)||_F = sqrt(2)
     with pytest.raises(NotTracePreserving) as err:
         Channel(2, 2, Operator(np.diag([1.0, 0, 0, 0]), (2, 2)))
-    assert err.value.residual == 0.5
+    assert err.value.residual == pytest.approx(np.sqrt(2), abs=1e-15)
+
+
+def test_a_cj_off_in_trace_by_its_whole_marginal_is_refused():
+    # each entry of the marginal misses identity/8 by only CJ_TOL = 1e-10, and
+    # the channel was accepted; its output on |+><+| had |tr - 1| = 6.4e-9,
+    # which DensityMatrix refuses as `trace`
+    d = 8
+    chi = (np.eye(d * d) + swap_operator(d).mat) / (d * (d + 1))
+    chi = chi + 1e-10 / d * np.kron(np.ones((d, d)), np.eye(d))
+    with pytest.raises(NotTracePreserving) as err:
+        Channel(d, d, Operator(chi, (d, d)))
+    # d_in ||Delta||_F with Delta = 1e-10 J: the output trace's worst miss
+    assert err.value.residual == pytest.approx(6.4e-9, rel=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -122,7 +136,7 @@ def test_cj_state_of_identity_channel():
     d = 3
     phi = sum(np.kron(basis_ket(d, i).vec, basis_ket(d, i).vec) for i in range(d)) / np.sqrt(d)
     chi = DensityMatrix(np.outer(phi, phi.conj()), dims=(d, d))
-    ch = Channel(d, d, chi.op)
+    ch = Channel(d, d, chi)
     assert np.abs(cj_state(ch).mat - chi.mat).max() < 1e-12
     rho = haar_random_density(d, 1)
     assert np.abs(apply_channel(ch, rho).mat - rho.mat).max() < 1e-10
@@ -130,7 +144,7 @@ def test_cj_state_of_identity_channel():
 
 def test_a_channel_of_the_cj_state_reproduces_approx_transpose():
     chi = DensityMatrix((np.eye(4) + swap_operator(2).mat) / 6, dims=(2, 2))
-    ch = Channel(2, 2, chi.op)
+    ch = Channel(2, 2, chi)
     units = []
     for i in range(2):
         for j in range(2):
@@ -152,13 +166,13 @@ def test_building_a_channel_runs_one_psd_test(monkeypatch):
 
     monkeypatch.setattr(linalg, "_psd_violation", counting)
     monkeypatch.setattr(channels, "_psd_violation", counting)
-    Channel(3, 3, chi.op)
+    Channel(3, 3, chi)
     assert calls == [(9, 9)]
 
 
 def test_cj_roundtrip_on_action():
     ch = approx_transpose(3)
-    back = Channel(3, 3, cj_state(ch).op)
+    back = Channel(3, 3, cj_state(ch))
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -396,7 +410,8 @@ def test_a_channel_output_is_a_state_as_computed(dims):
                     outputs.append((apply_to_factor(ch, rho, factor), expected))
     assert outputs
     for out, expected in outputs:
-        assert isinstance(out, DensityMatrix) and out.dims == dims
+        assert isinstance(out, DensityMatrix) and isinstance(out, Operator) and out.dims == dims
+        assert not hasattr(out, "op")
         DensityMatrix(out.mat, dims=out.dims)
         assert out.mat.tobytes() == np.ascontiguousarray(expected).tobytes()
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from transposim import (
     builtin_fiducial,
     fiducial_search,
     frame_potential,
+    haar_random_density,
     hw_orbit,
     load_fiducial,
     make_design,
@@ -29,7 +30,7 @@ from transposim import (
     transpose_witness,
     two_design_frame_potential,
 )
-from transposim import channels, designs, witness
+from transposim import channels, designs, linalg, witness
 from transposim.designs import Fiducial, _orbit_fp_and_grad, _overlap_dev_and_grad
 from transposim.fileio import write_json
 from test_kernels import ref_weyl_pair
@@ -207,8 +208,11 @@ def test_design_cardinality_bound():
         lambda: sic_from_fiducial(Fiducial(101, Ket(np.eye(101)[0]))),
         lambda: approx_transpose(65),
         lambda: transpose_witness(65),
+        lambda: swap_operator(65),
+        lambda: haar_random_density(65, 0),
     ],
-    ids=["make_design", "sic_from_fiducial", "approx_transpose", "transpose_witness"],
+    ids=["make_design", "sic_from_fiducial", "approx_transpose", "transpose_witness",
+         "swap_operator", "haar_random_density"],
 )
 def test_designs_beyond_dimension_64_are_refused_before_allocation(build, monkeypatch):
     def no_allocation(*args):
@@ -220,6 +224,14 @@ def test_designs_beyond_dimension_64_are_refused_before_allocation(build, monkey
     monkeypatch.setattr(channels, "_identity_plus_swap", no_allocation)
     monkeypatch.setattr(channels, "Channel", no_allocation)
     monkeypatch.setattr(witness, "swap_operator", no_allocation)
+    # swap_operator's identity on the doubled space, haar_random_density's projector on it
+    eye = np.eye
+
+    def small_eye(n, *args, **kwargs):
+        return no_allocation() if n > 64 * 64 else eye(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", small_eye)
+    monkeypatch.setattr(linalg, "outer", no_allocation)
     with pytest.raises(DomainError, match="limited to dimension <= 64"):
         build()
 
@@ -307,12 +319,6 @@ def test_fiducial_search_qubit():
     excess, dev = orbit_certificate(f)
     assert abs(excess) < 1e-10
     assert dev < 1e-6
-
-
-def test_fiducial_search_accepts_optimal_start():
-    start = builtin_fiducial(3)
-    f = fiducial_search(3, seed=0, start=start)
-    assert f is start  # already certified, returned without any optimization
 
 
 def test_fiducial_search_budget_exhaustion():

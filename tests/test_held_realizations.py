@@ -205,7 +205,7 @@ def record_arrays():
         "Operator.mat": Operator(np.eye(2)).mat,
         "identity": identity((2, 2)).mat,
         "DensityMatrix.mat": rho.mat,
-        "partial_transpose": partial_transpose(rho.op, 0).mat,
+        "partial_transpose": partial_transpose(rho, 0).mat,
         "approx_transpose.cj": approx_transpose(2).cj.mat,
         "mub_prime.vector_stack": g.vector_stack,
         "Design.vector_stack": sic_from_fiducial(f2).vector_stack,

@@ -199,21 +199,6 @@ def test_mub_prime_matches_gauss_sum_loop(d):
     assert np.array_equal(mub_prime(d).vector_stack, np.array(rows))
 
 
-def test_make_design_reports_failures_in_vector_order():
-    good = random_unit_vectors(3, 3, 5)
-    scaled = good[1] * 1.5
-    with pytest.raises(ValidationError) as err:
-        make_design([good[0], scaled, good[2]])
-    assert err.value.check == "norm"
-    assert abs(err.value.residual - abs(np.linalg.norm(scaled) - 1.0)) < TOL
-    # a norm failure ahead of a dimension mismatch is reported first, and the
-    # mismatch ahead of a norm failure
-    with pytest.raises(ValidationError):
-        make_design([good[0], scaled, np.array([1.0, 0.0])])
-    with pytest.raises(DomainError, match="vector 1 has dimension 2"):
-        make_design([good[0], np.array([1.0, 0.0]), scaled])
-
-
 def test_make_design_checks_an_array_as_one_stack():
     good = random_unit_vectors(3, 3, 5)
     scaled = good.copy()
@@ -222,12 +207,16 @@ def test_make_design_checks_an_array_as_one_stack():
         make_design(scaled)
     assert err.value.check == "norm"
     assert abs(err.value.residual - abs(np.linalg.norm(scaled[2]) - 1.0)) < TOL
-    # a non-finite entry is refused before any norm, as the Ket-by-Ket form does
+    # a non-finite entry is refused before any norm
     bad = good.copy()
     bad[0] *= 1.5
     bad[1, 0] = np.nan
     with pytest.raises(DomainError, match="non-finite"):
         make_design(bad)
+    # anything but an (N, d) stack is refused
+    for not_a_stack in (good[0], good[None], []):
+        with pytest.raises(DomainError, match=r"\(N, d\) array"):
+            make_design(not_a_stack)
 
 
 def ref_measure_prepare_cj(effects, preps):

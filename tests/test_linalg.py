@@ -251,6 +251,8 @@ def test_haar_first_component_moment():
 
 def test_haar_density_is_valid_state():
     rho = haar_random_density(4, 3, dims=(2, 2))
+    # a state is an Operator itself, not a wrapper around one
+    assert isinstance(rho, Operator) and not hasattr(rho, "op")
     assert rho.dims == (2, 2)
     assert abs(np.trace(rho.mat) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho.mat)[0] > -1e-12

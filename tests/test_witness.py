@@ -57,17 +57,19 @@ def werner_boundary():
 
 def test_transpose_witness_values():
     w = transpose_witness(2)
-    assert abs(real_trace_product(Operator(w.op.mat), singlet()) + 0.5) < 1e-12
-    assert abs(real_trace_product(Operator(w.op.mat), product_00()) - 0.5) < 1e-12
+    # a witness is an Operator itself, not a wrapper around one
+    assert isinstance(w, Operator) and not hasattr(w, "op")
+    assert abs(real_trace_product(w, singlet()) + 0.5) < 1e-12
+    assert abs(real_trace_product(w, product_00()) - 0.5) < 1e-12
     for d in (2, 3, 4, 5):
-        assert abs(np.trace(transpose_witness(d).op.mat) - 1.0) < 1e-12
+        assert abs(np.trace(transpose_witness(d).mat) - 1.0) < 1e-12
 
 
 def test_witness_validation():
     with pytest.raises(DomainError):
-        Witness(Operator(np.diag([1.0, 1.0])))  # trace 2
+        Witness(np.diag([1.0, 1.0]))  # trace 2
     with pytest.raises(DomainError):
-        Witness(Operator(np.array([[1.0, 1.0], [0.0, 0.0]])))  # not Hermitian
+        Witness(np.array([[1.0, 1.0], [0.0, 0.0]]))  # not Hermitian
 
 
 @pytest.mark.parametrize("d,expected", [(2, 2 / 3), (3, 3 / 4), (4, 4 / 5), (5, 5 / 6)])
@@ -76,7 +78,7 @@ def test_pmin_values(d, expected):
 
 
 def test_pmin_of_positive_witness_is_zero():
-    w = Witness(Operator(np.eye(4) / 4, (2, 2)))
+    w = Witness(np.eye(4) / 4, (2, 2))
     assert spa_pmin(w) == 0.0
 
 
@@ -85,9 +87,9 @@ def test_pmin_certificate_is_sharp(d):
     w = transpose_witness(d)
     p = spa_pmin(w)
     big_d = d * d
-    at_p = np.linalg.eigvalsh((1 - p) * w.op.mat + p * np.eye(big_d) / big_d)[0]
+    at_p = np.linalg.eigvalsh((1 - p) * w.mat + p * np.eye(big_d) / big_d)[0]
     below = p * (1 - 1e-6)
-    at_below = np.linalg.eigvalsh((1 - below) * w.op.mat + below * np.eye(big_d) / big_d)[0]
+    at_below = np.linalg.eigvalsh((1 - below) * w.mat + below * np.eye(big_d) / big_d)[0]
     assert at_p >= -1e-12
     assert at_below < -1e-12
 
@@ -107,9 +109,9 @@ def test_detection_equivalence_affine_identity():
     for i in range(200):
         rho = haar_random_density(4, 30_000 + i, dims=(2, 2))
         lhs = real_trace_product(rho, a.state)
-        rhs = (1 - a.p_min) * real_trace_product(rho, Operator(w.op.mat)) + a.p_min / 4
+        rhs = (1 - a.p_min) * real_trace_product(rho, w) + a.p_min / 4
         assert abs(lhs - rhs) < 1e-12
-        assert (real_trace_product(rho, Operator(w.op.mat)) < 0) == (lhs < a.threshold)
+        assert (real_trace_product(rho, w) < 0) == (lhs < a.threshold)
 
 
 def test_detect_singlet_and_product():
@@ -325,7 +327,7 @@ def test_tripartite_state_spectrum_and_symmetry():
     eigs = np.sort(np.linalg.eigvalsh(rho.mat))
     want = np.sort([1 / 3, 1 / 6, 1 / 6, 1 / 6, 1 / 6, 0, 0, 0])
     assert np.abs(eigs - want).max() < 1e-12
-    swapped = permute_subsystems(rho.op, [0, 2, 1])
+    swapped = permute_subsystems(rho, [0, 2, 1])
     assert np.abs(swapped.mat - rho.mat).max() < 1e-12
 
 
@@ -465,13 +467,16 @@ def test_detection_matches_sequential_transposes_bit_for_bit(dims):
     states += [DensityMatrix(0.05 * states[-1].mat + 0.95 * np.eye(big_d) / big_d, dims=dims),
                DensityMatrix(np.eye(big_d) / big_d, dims=dims)]
     for rank, rho in enumerate(states, start=1):
-        runs = [(a, a.cut) for a in wits] + [(wits[0], (s,)) for s in range(len(dims))]
-        runs += [(wits[0], subs) for subs in factor_sets]
-        for a, subs in runs:
-            r = detect(rho, a, ppt_subsystems=subs)
+        for a in wits:
+            r = detect(rho, a)
             got = (bits(r.value), r.verdict, r.ppt, bits(r.min_pt_eigenvalue), r.caveat)
-            assert got == ref_detect(rho, a, subs), (rank, subs)
+            assert got == ref_detect(rho, a, a.cut), (rank, a.cut)
             seen.add(r.ppt)
+        # every single-factor cut and the multi-factor ones, through ppt_check itself
+        for subs in [(s,) for s in range(len(dims))] + factor_sets:
+            ppt, min_eig = ppt_check(rho, subs)
+            assert (ppt, bits(min_eig)) == ref_detect(rho, wits[0], subs)[2:4], (rank, subs)
+            seen.add(ppt)
     assert seen == {"NPT", "PPT"}
 
 
