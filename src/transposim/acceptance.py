@@ -322,8 +322,7 @@ def criterion_12_fiducial_search(max_dim: int = 5) -> CriterionResult:
 
 
 def criterion_13_caveat(max_dim: int = 5) -> CriterionResult:
-    g = sic_from_fiducial(builtin_fiducial(2))
-    a = multipartite_aew(3, 2, 0, g)
+    a = multipartite_aew(3, 2, 0)
     v = kron_ket(kron_ket(basis_ket(2, 0), basis_ket(2, 1)), basis_ket(2, 0))
     rho = DensityMatrix(np.outer(v.vec, v.vec.conj()), dims=(2, 2, 2))
     res = detect(rho, a, cut_label="A|BC")

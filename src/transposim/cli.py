@@ -29,13 +29,16 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 OK = 0
 # verify-all's criteria 01 and 07 build d^2 x d^2 matrices for every d up to
-# --max-dim; 8 keeps them within the total dimension of 64
+# --max-dim; 8 keeps them within linalg.MAX_DIM = 64 (a literal: no numpy here)
 MAX_VERIFY_DIM = 8
 
 
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_seed, default=0, help="seed for any randomized step")
-    p.add_argument("--tolerance", type=_tolerance, default=1e-10, help="pass/fail tolerance")
+def _common(p: argparse.ArgumentParser, seed: bool = False, tolerance: bool = False) -> None:
+    """`--json` for every subcommand; `--seed` and `--tolerance` only where they are read."""
+    if seed:
+        p.add_argument("--seed", type=_seed, default=0, help="seed for the randomized step")
+    if tolerance:
+        p.add_argument("--tolerance", type=_tolerance, default=1e-10, help="pass/fail tolerance")
     p.add_argument("--json", metavar="PATH", default=None, help="write a JSON report here")
 
 
@@ -225,13 +228,10 @@ def cmd_detect(args) -> int:
     if len(set(dims)) != 1:
         print("error: detection needs equal local dimensions", file=sys.stderr)
         return USAGE_ERROR
-    d = dims[0]
     cut_index, label = _parse_cut(args.cut, len(dims))
-    from .designs import sic_from_fiducial
     from .witness import DetectionReport, detect, multipartite_aew, report_to_dict
 
-    g = sic_from_fiducial(_fiducial_for(d, args.fiducial))
-    a = multipartite_aew(len(dims), d, cut_index, g)
+    a = multipartite_aew(len(dims), dims[0], cut_index)
     res = detect(rho, a, cut_label=label)
     caveats = []
     if res.caveat:
@@ -355,14 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--kind", choices=("sic", "mub"), required=True)
     p.add_argument("--fiducial", metavar="FILE", default=None)
-    _common(p)
+    _common(p, tolerance=True)
     p.set_defaults(fn=cmd_verify_design)
 
     p = sub.add_parser("search-fiducial", help="search for a SIC fiducial numerically")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--max-iters", type=_positive_int, default=20000)
     p.add_argument("--out", metavar="FILE", default=None, help="write the fiducial file here")
-    _common(p)
+    _common(p, seed=True)
     p.set_defaults(fn=cmd_search_fiducial)
 
     p = sub.add_parser(
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--via", choices=_VIAS, default="formula")
     p.add_argument("--fiducial", metavar="FILE", default=None)
     p.add_argument("--out", metavar="FILE", default=None, help="write the output state here")
-    _common(p)
+    _common(p, tolerance=True)
     p.set_defaults(fn=cmd_apply)
 
     p = sub.add_parser("detect", help="evaluate the approximate witness on a state")
@@ -381,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cut", metavar="SPEC", required=True, help="e.g. A|BC")
     p.add_argument("--shots", type=_positive_int, default=None)
     p.add_argument("--confidence", type=_confidence, default=0.99)
-    p.add_argument("--fiducial", metavar="FILE", default=None)
-    _common(p)
+    _common(p, seed=True)
     p.set_defaults(fn=cmd_detect)
 
     p = sub.add_parser("tripartite-demo", help="reproduce the three-qubit worked example")

@@ -8,6 +8,7 @@ proportional to the identity, so it induces a measurement.
 from __future__ import annotations
 
 import functools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NotPrimeError, NotSICError, ParseError, SearchFailed
 from .fileio import _integer, _pairs, _read_json, _vector, write_json
-from .linalg import Ket, _as_int, _as_seed, _check_unit_norm, _frozen, _refuse_oversized
+from .linalg import MAX_DIM, Ket, _as_int, _as_seed, _check_unit_norm, _frozen, _refuse_oversized
 
 TWO_DESIGN_TOL = 1e-10
 COHERENCE_TOL = 1e-10
@@ -26,7 +27,7 @@ SIC_OVERLAP_TOL = 1e-9
 # d^2 <= 64 is the package's limit on total dimension, and the records so held
 # take about 150 KB (about 270 KB once each MUB set holds its measure-and-prepare
 # pair).  A larger d is built afresh on every call.
-_SHARED_MAX_DIM = 8
+_SHARED_MAX_DIM = math.isqrt(MAX_DIM)
 
 
 @dataclass(frozen=True, eq=False)

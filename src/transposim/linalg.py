@@ -220,7 +220,10 @@ def identity(dims) -> Operator:
 
 
 def swap_operator(d: int) -> Operator:
-    """The swap V on a d x d bipartite space: V|i,j> = |j,i>, for d <= MAX_DIM."""
+    """The swap V on a d x d bipartite space: V|i,j> = |j,i>, for 1 <= d <= MAX_DIM."""
+    d = _as_int(d, "dimension")
+    if d < 1:
+        raise DomainError(f"dimension must be >= 1, got {d}")
     _refuse_oversized(d, "the swap operator")
     v = np.eye(d * d).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)
     return Operator(v, (d, d))

@@ -18,6 +18,7 @@ from .channels import _check_dim, apply_to_factor, approx_transpose
 from .designs import COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap
 from .errors import DomainError
 from .linalg import (
+    MAX_DIM,
     DensityMatrix,
     Ket,
     Operator,
@@ -35,9 +36,6 @@ from .linalg import (
 
 BOUNDARY_BAND = 1e-9
 NPT_TOL = 1e-9
-# the package's limit on total dimension: the multipartite state on n parties
-# of dimension d holds (d^n)^2 entries, so d^n > 64 is refused before allocating
-_MAX_TOTAL_DIM = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,10 +223,11 @@ def _check_parties(n, d) -> tuple[int, int]:
     n, d = _as_int(n, "number of parties"), _as_int(d, "dimension")
     if n < 2 or d < 2:
         raise DomainError(f"need n >= 2 parties of dimension d >= 2, got n = {n}, d = {d}")
+    # the state holds (d^n)^2 entries, so d^n > MAX_DIM is refused before allocating;
     # d >= 2, so n >= 7 is over the limit: min keeps a huge n from forming a huge power
-    if d ** min(n, 7) > _MAX_TOTAL_DIM:
+    if d ** min(n, 7) > MAX_DIM:
         raise DomainError(
-            f"{n} parties of dimension {d} exceed the total dimension limit {_MAX_TOTAL_DIM}"
+            f"{n} parties of dimension {d} exceed the total dimension limit {MAX_DIM}"
         )
     return n, d
 
@@ -272,20 +271,20 @@ def multipartite_closed_forms(
                  for c in (plain, plain.conj()))
 
 
-def multipartite_aew(n: int, d: int, cut: int, g: Design) -> ApproxWitness:
+def multipartite_aew(n: int, d: int, cut: int, g: Design | None = None) -> ApproxWitness:
     """Witness state for the cut-vs-rest splitting of an n-party system.
 
     The construction applies the approximate transpose to the cut factor of
-    the GHZ state.  `g` must be a SIC in dimension d, the design that
-    `multipartite_closed_forms` sums over; the state does not depend on it.
-    The detection threshold is 1/(d(d+1)).  n and d follow `ghz_ket`'s rule.
+    the GHZ state; no design enters it.  The detection threshold is
+    1/(d(d+1)).  n and d follow `ghz_ket`'s rule.  `g` is ignored: it stays
+    only because the benchmark's detect-stream workload
+    (perfbench/workloads.py) still passes a SIC positionally.
     """
     n, d = _check_parties(n, d)
     try:
         cut = _check_index(cut, (d,) * n)
     except IndexError:
         raise DomainError(f"cut index {cut} out of range for {n} parties") from None
-    _check_sic(g, d)
     ghz = ghz_ket(n, d)
     ghz_dm = DensityMatrix(np.outer(ghz.vec, ghz.vec.conj()), dims=(d,) * n)
     state = apply_to_factor(approx_transpose(d), ghz_dm, cut)
@@ -308,24 +307,22 @@ def tripartite_example_state() -> DensityMatrix:
     return DensityMatrix(rho, dims=(2, 2, 2))
 
 
-def evaluate_tripartite_example(g: Design | None = None) -> DetectionReport:
-    """Evaluate the worked three-qubit example across all single-party cuts."""
+def evaluate_tripartite_example() -> DetectionReport:
+    """Evaluate the worked three-qubit example; the qubit SIC enters only the note."""
     from .designs import builtin_fiducial, sic_from_fiducial
 
-    if g is None:
-        g = sic_from_fiducial(builtin_fiducial(2))
     rho = tripartite_example_state()
     cuts = []
     caveats: list[str] = []
     for i in range(3):
-        a = multipartite_aew(3, 2, i, g)
+        a = multipartite_aew(3, 2, i)
         res = detect(rho, a, cut_label=_CUT_LABELS[i])
         cuts.append(res)
         if res.caveat:
             caveats.append(
                 f"{res.cut}: threshold fired although the partial transpose is positive"
             )
-    plain, conj = multipartite_closed_forms(3, 2, 0, g)
+    plain, conj = multipartite_closed_forms(3, 2, 0, sic_from_fiducial(builtin_fiducial(2)))
     v_plain = real_trace_product(rho, plain)
     v_conj = real_trace_product(rho, conj)
     notes = (

@@ -212,7 +212,7 @@ def test_closed_forms_match_the_per_vector_kron_form(n, d):
 def test_conjugated_closed_form_is_the_witness_state_and_the_plain_one_is_not(n, d):
     g = sic_from_fiducial(builtin_fiducial(d))
     for cut in range(n):
-        state = multipartite_aew(n, d, cut, g).state.mat
+        state = multipartite_aew(n, d, cut).state.mat
         plain, conj = multipartite_closed_forms(n, d, cut, g)
         assert np.linalg.norm(conj.mat - state) < 1e-10
         assert np.linalg.norm(plain.mat - state) > 1e-3
@@ -239,21 +239,26 @@ def test_every_design_sum_goes_through_the_one_kernel(monkeypatch):
 
 
 def test_the_witness_state_builds_no_closed_form(monkeypatch):
-    g = sic_from_fiducial(builtin_fiducial(2))
-    want = multipartite_aew(3, 2, 0, g).state.mat
+    want = multipartite_aew(3, 2, 0).state.mat
 
     def refused(*args):
         raise AssertionError("multipartite_aew assembled a closed form")
 
     monkeypatch.setattr(witness, "multipartite_closed_forms", refused)
     monkeypatch.setattr(witness, "_kron_sum", refused)
-    assert multipartite_aew(3, 2, 0, g).state.mat.tobytes() == want.tobytes()
+    assert multipartite_aew(3, 2, 0).state.mat.tobytes() == want.tobytes()
     assert "metadata" not in {f.name for f in dataclasses.fields(ApproxWitness)}
     assert not hasattr(witness, "_closed_form_term")
 
 
-def test_the_witness_state_still_needs_a_sic_of_its_dimension():
-    with pytest.raises(DomainError, match="SIC design"):
-        multipartite_aew(3, 2, 0, mub_prime(2))
-    with pytest.raises(DomainError, match="SIC design"):
-        multipartite_aew(2, 3, 0, sic_from_fiducial(builtin_fiducial(2)))
+def test_a_design_passed_to_the_witness_state_changes_no_bit():
+    # the benchmark's detect-stream workload still passes the qubit SIC
+    # positionally; its state is the design-free one, approx transpose on the GHZ cut
+    g = sic_from_fiducial(builtin_fiducial(2))
+    ghz = witness.ghz_ket(3, 2).vec
+    ghz_dm = linalg.DensityMatrix(np.outer(ghz, ghz.conj()), dims=(2, 2, 2))
+    for cut in range(3):
+        a = multipartite_aew(3, 2, cut, g)
+        want = channels.apply_to_factor(channels.approx_transpose(2), ghz_dm, cut)
+        assert a.state.mat.tobytes() == want.mat.tobytes()
+        assert (a.threshold, a.cut) == (1 / 6, (cut,))

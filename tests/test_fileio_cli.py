@@ -261,6 +261,35 @@ def test_cli_detect_bad_cut(tmp_path):
     assert main(["detect", "--state", state, "--cut", "AB"]) == 2
 
 
+def test_cli_detect_builds_no_design(tmp_path, capsys, monkeypatch):
+    # (|01> - |10>)/sqrt(2) on two ququarts: there is no built-in fiducial for d = 4
+    def refused(*args):
+        raise AssertionError("detect built a design")
+
+    monkeypatch.setattr(designs, "builtin_fiducial", refused)
+    monkeypatch.setattr(designs, "sic_from_fiducial", refused)
+    v = np.zeros(16, dtype=complex)
+    v[1], v[4] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+    state = tmp_path / "qq4.json"
+    save_state(DensityMatrix(np.outer(v, v.conj()), dims=(4, 4)), str(state))
+    report = tmp_path / "report.json"
+    assert main(["detect", "--state", str(state), "--cut", "A|B", "--json", str(report)]) == 0
+    assert "detected" in capsys.readouterr().out
+    entry = json.loads(report.read_text())["cuts"][0]
+    assert abs(entry["value"]) < 1e-12 and entry["verdict"] == "detected"
+    assert abs(entry["threshold"] - 1 / 20) < 1e-15
+
+
+@pytest.mark.parametrize("dims, cut", [((8, 8), "A|B"), ((4, 4, 4), "B|CA")])
+def test_cli_detect_runs_where_no_fiducial_is_built_in(tmp_path, capsys, dims, cut):
+    big_d = int(np.prod(dims))
+    state = tmp_path / "mixed.json"
+    save_state(DensityMatrix(np.eye(big_d) / big_d, dims=dims), str(state))
+    assert main(["detect", "--state", str(state), "--cut", cut]) == 0
+    out = capsys.readouterr().out
+    assert f"cut             : {cut}" in out and "value           : 0.015625" in out
+
+
 def test_cli_json_reports_are_byte_stable(tmp_path):
     state = singlet_file(tmp_path)
     r1 = tmp_path / "r1.json"
@@ -437,6 +466,33 @@ def test_cli_refuses_a_negative_seed_before_printing(tmp_path, capsys, command):
         "detect": ["detect", "--state", singlet_file(tmp_path), "--cut", "A|B", "--shots", "100"],
     }[command]
     assert_refused_before_printing(argv + ["--seed", "-1"], "--seed", capsys)
+
+
+@pytest.mark.parametrize("command, option", [
+    ("verify-design", "--seed"),
+    ("search-fiducial", "--tolerance"),
+    ("apply-approx-transpose", "--seed"),
+    ("detect", "--tolerance"),
+    ("detect", "--fiducial"),
+    ("tripartite-demo", "--seed"),
+    ("tripartite-demo", "--tolerance"),
+    ("verify-all", "--seed"),
+    ("verify-all", "--tolerance"),
+])
+def test_cli_refuses_an_option_that_the_subcommand_does_not_read(
+    tmp_path, capsys, command, option
+):
+    # each was parsed and then ignored: verify-all --tolerance 1e9 passed 13/13
+    argv = {
+        "verify-design": ["verify-design", "--dim", "2", "--kind", "sic"],
+        "search-fiducial": ["search-fiducial", "--dim", "2"],
+        "apply-approx-transpose": ["apply-approx-transpose", "--state", singlet_file(tmp_path)],
+        "detect": ["detect", "--state", singlet_file(tmp_path), "--cut", "A|B"],
+        "tripartite-demo": ["tripartite-demo"],
+        "verify-all": ["verify-all"],
+    }[command]
+    value = qubit_fiducial_file(tmp_path) if option == "--fiducial" else "1"
+    assert_refused_before_printing(argv + [option, value], option, capsys)
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "-1e-10", "0", "inf"])

@@ -38,9 +38,10 @@ from transposim import (
     sample_overlap,
     save_fiducial,
     sic_from_fiducial,
+    swap_operator,
     transpose_witness,
 )
-from transposim import channels, designs, fileio
+from transposim import channels, cli, designs, fileio, linalg
 
 SHARED_DIMS = range(2, 9)
 MUB_DIMS = (2, 3, 5, 7)
@@ -71,7 +72,7 @@ def basis_ket_0(d):
 
 
 def multipartite_aew_of_two_parties(d):
-    return multipartite_aew(2, d, 0, sic_from_fiducial(builtin_fiducial(2)))
+    return multipartite_aew(2, d, 0)
 
 
 def multipartite_closed_forms_of_two_parties(d):
@@ -90,15 +91,14 @@ DIMENSION_OF = {
     haar_random_ket_at_seed_0: lambda k: k.dim,
     haar_random_density_at_seed_0: lambda rho: rho.dims[0],
     basis_ket_0: lambda k: k.dim,
+    swap_operator: lambda v: v.dims[0],
     multipartite_aew_of_two_parties: lambda a: a.state.dims[0],
     multipartite_closed_forms_of_two_parties: lambda forms: forms[0].dims[0],
 }
 # each constructor that takes a number of parties n: the dims of its result for n qubits
 PARTIES_OF = {
     ghz_ket: lambda n: ghz_ket(n, 2).dims,
-    multipartite_aew: lambda n: multipartite_aew(
-        n, 2, 0, sic_from_fiducial(builtin_fiducial(2))
-    ).state.dims,
+    multipartite_aew: lambda n: multipartite_aew(n, 2, 0).state.dims,
     multipartite_closed_forms: lambda n: multipartite_closed_forms(
         n, 2, 0, sic_from_fiducial(builtin_fiducial(2))
     )[0].dims,
@@ -117,6 +117,11 @@ def assert_same_design(a, b):
     assert (a.d, a.kind, a.two_design_residual, a.coherence_residual) == (
         b.d, b.kind, b.two_design_residual, b.coherence_residual
     )
+
+
+def test_the_size_limits_derive_from_one_total_dimension():
+    # the CLI keeps its own literal, since importing it must load no numpy
+    assert cli.MAX_VERIFY_DIM ** 2 == linalg.MAX_DIM == designs._SHARED_MAX_DIM ** 2
 
 
 @pytest.mark.parametrize("d", SHARED_DIMS)
@@ -190,6 +195,13 @@ def test_a_dimension_that_is_not_an_integer_is_a_domain_error(build, d):
 def test_a_numpy_integer_dimension_becomes_an_int(build):
     d = DIMENSION_OF[build](build(np.int64(2)))
     assert d == 2 and type(d) is int
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_the_swap_operator_refuses_a_dimension_below_one(d):
+    # -1 ended in numpy's ValueError from a reshape
+    with pytest.raises(DomainError, match="dimension must be >= 1"):
+        swap_operator(d)
 
 
 @pytest.mark.parametrize("i", [0.0, True, False, None])

@@ -15,7 +15,6 @@ from transposim import (
     builtin_fiducial,
     detect,
     evaluate_tripartite_example,
-    fiducial_search,
     ghz_ket,
     haar_random_density,
     kron_ket,
@@ -139,10 +138,9 @@ def test_detect_boundary_werner():
 def test_detect_trusts_its_validated_input(monkeypatch):
     # the PPT cross-check is the only eigensolve; rho is not validated again
     # and, with the witness's dims, not wrapped again either
-    g = sic_from_fiducial(builtin_fiducial(2))
     cases = [
         (singlet(), aew(transpose_witness(2))),
-        (tripartite_example_state(), multipartite_aew(3, 2, 0, g)),
+        (tripartite_example_state(), multipartite_aew(3, 2, 0)),
     ]
     real = np.linalg.eigvalsh
     for rho, a in cases:
@@ -224,19 +222,18 @@ def test_ghz_ket():
 
 
 def test_bipartite_multipartite_aew_reduces_to_cj_state():
-    g = sic_from_fiducial(builtin_fiducial(2))
-    a = multipartite_aew(2, 2, 1, g)
+    a = multipartite_aew(2, 2, 1)
     target = (np.eye(4) + swap_operator(2).mat) / 6
     assert np.abs(a.state.mat - target).max() < 1e-10
     assert abs(a.threshold - 1 / 6) < 1e-15
     # same construction on the first factor by symmetry of the target
-    a0 = multipartite_aew(2, 2, 0, g)
+    a0 = multipartite_aew(2, 2, 0)
     assert np.abs(a0.state.mat - target).max() < 1e-10
 
 
 def test_multipartite_closed_form_conjugated_variant_matches_oracle():
     g = sic_from_fiducial(builtin_fiducial(2))
-    a = multipartite_aew(3, 2, 0, g)
+    a = multipartite_aew(3, 2, 0)
     plain, conj = multipartite_closed_forms(3, 2, 0, g)
     assert np.linalg.norm(conj.mat - a.state.mat) < 1e-10
     # the plain variant is the partial transpose of the oracle on the cut factor
@@ -247,19 +244,16 @@ def test_multipartite_closed_form_conjugated_variant_matches_oracle():
 
 def test_multipartite_aew_trace_one():
     for n, d in ((2, 2), (3, 2), (2, 3)):
-        f = builtin_fiducial(d)
-        g = sic_from_fiducial(f)
         for cut in range(n):
-            a = multipartite_aew(n, d, cut, g)
+            a = multipartite_aew(n, d, cut)
             assert abs(np.trace(a.state.mat) - 1.0) < 1e-10
 
 
 def test_multipartite_aew_cut_guard():
-    g = sic_from_fiducial(builtin_fiducial(2))
     with pytest.raises(DomainError):
-        multipartite_aew(3, 2, 3, g)
+        multipartite_aew(3, 2, 3)
     with pytest.raises(DomainError):
-        multipartite_aew(1, 2, 0, g)
+        multipartite_aew(1, 2, 0)
 
 
 @pytest.mark.parametrize("cut", [1.0, True, np.float64(0.0), "1", None])
@@ -267,27 +261,27 @@ def test_multipartite_cut_must_be_an_integer(cut):
     # 1.0 ended in a TypeError and True was stored as cut (True,)
     g = sic_from_fiducial(builtin_fiducial(2))
     with pytest.raises(DomainError):
-        multipartite_aew(3, 2, cut, g)
+        multipartite_aew(3, 2, cut)
     with pytest.raises(DomainError):
         multipartite_closed_forms(3, 2, cut, g)
 
 
 def test_multipartite_cut_accepts_a_numpy_integer_and_stores_an_int():
     g = sic_from_fiducial(builtin_fiducial(2))
-    a = multipartite_aew(3, 2, np.int64(1), g)
+    a = multipartite_aew(3, 2, np.int64(1))
     assert a.cut == (1,) and type(a.cut[0]) is int
-    assert np.array_equal(a.state.mat, multipartite_aew(3, 2, 1, g).state.mat)
+    assert np.array_equal(a.state.mat, multipartite_aew(3, 2, 1).state.mat)
     with pytest.raises(IndexError):
         multipartite_closed_forms(3, 2, 3, g)
 
 
 @pytest.mark.parametrize("n, d", [(7, 2), (9, 2), (2, 9), (4, 3), (10**9, 2)])
 def test_the_multipartite_witness_refuses_a_total_dimension_over_64(n, d):
-    # multipartite_aew(7, 2, 0, g) built a 128-dimensional state; the refusal allocates nothing
+    # multipartite_aew(7, 2, 0) built a 128-dimensional state; the refusal allocates nothing
     g = sic_from_fiducial(builtin_fiducial(2))
     tracemalloc.start()
     try:
-        for build in (lambda: ghz_ket(n, d), lambda: multipartite_aew(n, d, 0, g),
+        for build in (lambda: ghz_ket(n, d), lambda: multipartite_aew(n, d, 0),
                       lambda: multipartite_closed_forms(n, d, 0, g)):
             with pytest.raises(DomainError, match="total dimension limit 64"):
                 build()
@@ -312,12 +306,11 @@ def test_multipartite_closed_forms_checks_parties_and_dimension(n, d):
 
 def test_multipartite_oracle_design_independence():
     # realize the local channel through a design measurement instead of the formula
-    g = sic_from_fiducial(builtin_fiducial(2))
     _, ch = measure_prepare_from_design(mub_prime(2))
     ghz = ghz_ket(3, 2)
     ghz_dm = DensityMatrix(np.outer(ghz.vec, ghz.vec.conj()), dims=(2, 2, 2))
     via_design = apply_to_factor(ch, ghz_dm, 0)
-    a = multipartite_aew(3, 2, 0, g)
+    a = multipartite_aew(3, 2, 0)
     assert np.abs(via_design.mat - a.state.mat).max() < 1e-10
 
 
@@ -372,8 +365,7 @@ def test_tripartite_example_values():
 
 
 def test_product_state_caveat():
-    g = sic_from_fiducial(builtin_fiducial(2))
-    a = multipartite_aew(3, 2, 0, g)
+    a = multipartite_aew(3, 2, 0)
     v = kron_ket(kron_ket(basis_ket(2, 0), basis_ket(2, 1)), basis_ket(2, 0))
     rho = DensityMatrix(np.outer(v.vec, v.vec.conj()), dims=(2, 2, 2))
     res = detect(rho, a, cut_label="A|BC")
@@ -442,10 +434,7 @@ def ref_detect(rho, a, subs):
 def parity_witnesses(dims):
     if len(dims) == 2:
         return (aew(transpose_witness(dims[0])),)
-    d = dims[0]
-    f = builtin_fiducial(2) if d == 2 else fiducial_search(d, seed=7)
-    g = sic_from_fiducial(f)
-    return tuple(multipartite_aew(3, d, c, g) for c in range(3))
+    return tuple(multipartite_aew(3, dims[0], c) for c in range(3))
 
 
 def seeded_state(dims, rank, seed):
