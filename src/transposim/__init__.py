@@ -22,7 +22,6 @@ _EXPORTS = {
         "approx_transpose",
         "channel_from_measure_prepare",
         "cj_distance",
-        "cj_state",
         "kraus_ops",
         "measure_prepare_from_design",
         "pointwise_transpose_fidelity",
@@ -35,7 +34,6 @@ _EXPORTS = {
         "frame_potential",
         "hw_orbit",
         "load_fiducial",
-        "make_design",
         "mub_prime",
         "orbit_certificate",
         "save_fiducial",

@@ -16,7 +16,6 @@ from .channels import (
     approx_transpose,
     channel_from_measure_prepare,
     cj_distance,
-    cj_state,
     measure_prepare_from_design,
     pointwise_transpose_fidelity,
 )
@@ -77,7 +76,7 @@ def criterion_01_cj_identity(max_dim: int = 5) -> CriterionResult:
     worst = 0.0
     for d in range(2, max_dim + 1):
         target = (np.eye(d * d) + swap_operator(d).mat) / (d * (d + 1))
-        worst = max(worst, float(np.linalg.norm(cj_state(approx_transpose(d)).mat - target)))
+        worst = max(worst, float(np.linalg.norm(approx_transpose(d).mat - target)))
     return _result(
         1,
         "CJ state of the approximate transpose equals (I+V)/(d(d+1))",

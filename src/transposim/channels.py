@@ -1,11 +1,12 @@
 """Quantum operations in Choi-Jamiolkowski (CJ) form.
 
-A channel is stored by its CJ matrix chi = (I (x) E)[|phi+><phi+|], with the
-reference copy first and the output factor second.  The inverse direction is
-E[rho] = d * tr_ref{ chi (rho^T (x) I) }.  Every `Channel` is checked to be
-completely positive and trace preserving when it is built, so no function
-here needs to ask.  Kraus views are derived on demand from the CJ
-eigendecomposition.
+A channel is its CJ state chi = (I (x) E)[|phi+><phi+|], a `DensityMatrix`
+with dims (d_in, d_out): the reference copy first and the output factor
+second.  The inverse direction is E[rho] = d * tr_ref{ chi (rho^T (x) I) }.
+Every `Channel` passes the one state check and the trace-preservation
+marginal when it is built, so it is completely positive and trace preserving
+and no function here needs to ask.  Kraus views are derived on demand from
+the CJ eigendecomposition.
 
 The kernels work on stacked arrays rather than one operator at a time: a
 measure-and-prepare CJ matrix is one design sum `linalg._kron_sum` of the
@@ -28,8 +29,8 @@ import numpy as np
 from .designs import _SHARED_MAX_DIM, COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap
 from .errors import DomainError, NotTracePreserving
 from .linalg import (
-    DensityMatrix, Ket, Operator, _as_int, _check_hermitian, _check_index, _check_unit_norm,
-    _frozen, _kron_sum, _memo, _psd_violation, _refuse_oversized,
+    DensityMatrix, Ket, Operator, _as_int, _check_index, _check_unit_norm, _frozen, _kron_sum,
+    _memo, _refuse_oversized,
 )
 
 CJ_TOL = 1e-10
@@ -38,42 +39,40 @@ KRAUS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class Channel:
-    """A completely positive, trace-preserving map, held as its CJ matrix.
+class Channel(DensityMatrix):
+    """A completely positive, trace-preserving map, held as its CJ state.
 
-    Construction checks the (d_in d_out) x (d_in d_out) `cj`: a matrix that is
-    not Hermitian raises ValidationError("hermitian", residual), one that is
-    not PSD raises DomainError naming its smallest eigenvalue, and one whose
-    trace over the output factor, identity/d_in + Delta, has d_in ||Delta||_F
-    above CJ_TOL raises NotTracePreserving with that residual.  The output
-    trace is 1 + d_in tr(Delta rho^T), so the residual bounds |tr Phi(rho) - 1|
-    over every state.  So every Channel is CPTP, and `apply_channel` and
-    `apply_to_factor` return its output on a checked state unchecked.
+    `Channel(chi, (d_in, d_out))` runs the one state check of `DensityMatrix`
+    on chi, refuses dims of any other number of factors (DomainError), and
+    then requires the trace over the output factor, identity/d_in + Delta, to
+    have d_in ||Delta||_F <= CJ_TOL (else NotTracePreserving with that
+    residual).  The output trace is 1 + d_in tr(Delta rho^T), so the residual
+    bounds |tr Phi(rho) - 1| over every state.  So every Channel is CPTP, and
+    `apply_channel` and `apply_to_factor` return its output on a checked
+    state unchecked.
     """
 
-    d_in: int
-    d_out: int
-    cj: Operator
-
-    def __post_init__(self):
-        d_in, d_out = _as_int(self.d_in, "d_in"), _as_int(self.d_out, "d_out")
-        cj = self.cj.mat
-        if min(d_in, d_out) < 1 or cj.shape[0] != d_in * d_out:
-            raise DomainError(f"a CJ matrix of shape {cj.shape} for a {d_in} -> {d_out} channel")
-        _check_hermitian(cj)
-        violation = _psd_violation(cj)
-        if violation is not None:
-            raise DomainError(f"CJ matrix is not PSD (min eigenvalue {-violation:.3e})")
+    def __init__(self, mat, dims):
+        super().__init__(mat, dims)
+        if len(self.dims) != 2:
+            raise DomainError(f"a channel's CJ state has dims (d_in, d_out), got {self.dims}")
+        d_in, d_out = self.dims
         # the trace over the output factor must equal identity/d_in on the reference copy
-        marg = np.einsum("abcb->ac", cj.reshape(d_in, d_out, d_in, d_out))
+        marg = np.einsum("abcb->ac", self.mat.reshape(d_in, d_out, d_in, d_out))
         residual = d_in * float(np.linalg.norm(marg - np.eye(d_in) / d_in))
         if not residual <= CJ_TOL:
             raise NotTracePreserving(
                 f"CJ marginal misses identity/d: output trace off by up to {residual:.3e}",
                 residual=residual,
             )
-        object.__setattr__(self, "d_in", d_in)
-        object.__setattr__(self, "d_out", d_out)
+
+    @property
+    def d_in(self) -> int:
+        return self.dims[0]
+
+    @property
+    def d_out(self) -> int:
+        return self.dims[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +125,7 @@ def approx_transpose(d: int) -> Channel:
 @functools.cache
 def _approx_transpose(d: int) -> Channel:
     """The checked approximate transpose for a d that `approx_transpose` has already accepted."""
-    return Channel(d, d, Operator(_identity_plus_swap(d), (d, d)))
-
-
-def cj_state(e: Channel) -> DensityMatrix:
-    """The CJ matrix as a bipartite quantum state."""
-    return DensityMatrix(e.cj.mat, e.cj.dims)
+    return Channel(_identity_plus_swap(d), (d, d))
 
 
 def apply_channel(e: Channel, m):
@@ -143,22 +137,23 @@ def apply_channel(e: Channel, m):
     Operator's finiteness scan.
     """
     x = m.mat if not isinstance(m, np.ndarray) else m
-    if x.shape != (e.d_in, e.d_in):
-        raise DomainError(f"input has shape {x.shape}, channel expects {(e.d_in, e.d_in)}")
-    chi = e.cj.mat.reshape(e.d_in, e.d_out, e.d_in, e.d_out)
-    out = e.d_in * np.einsum("abcd,ac->bd", chi, x)
+    d_in, d_out = e.dims
+    if x.shape != (d_in, d_in):
+        raise DomainError(f"input has shape {x.shape}, channel expects {(d_in, d_in)}")
+    chi = e.mat.reshape(d_in, d_out, d_in, d_out)
+    out = d_in * np.einsum("abcd,ac->bd", chi, x)
     if isinstance(m, DensityMatrix):
-        return DensityMatrix._derived(out, (e.d_out,))
-    return Operator(out, (e.d_out,))
+        return DensityMatrix._derived(out, (d_out,))
+    return Operator(out, (d_out,))
 
 
 def kraus_ops(e: Channel) -> list[np.ndarray]:
     """Kraus operators from the CJ eigendecomposition."""
-    vals, vecs = np.linalg.eigh((e.cj.mat + e.cj.mat.conj().T) / 2)
+    vals, vecs = np.linalg.eigh((e.mat + e.mat.conj().T) / 2)
     ops = []
     for lam, v in zip(vals, vecs.T):
         if lam > KRAUS_TOL:
-            ops.append(np.sqrt(e.d_in * lam) * v.reshape(e.d_in, e.d_out).T)
+            ops.append(np.sqrt(e.d_in * lam) * v.reshape(e.dims).T)
     return ops
 
 
@@ -169,21 +164,22 @@ def apply_to_factor(e: Channel, rho: DensityMatrix, factor: int) -> DensityMatri
     """
     dims = rho.dims
     factor = _check_index(factor, dims)
-    if dims[factor] != e.d_in:
-        raise DomainError(f"factor {factor} has dimension {dims[factor]}, channel expects {e.d_in}")
+    d_in, d_out = e.dims
+    if dims[factor] != d_in:
+        raise DomainError(f"factor {factor} has dimension {dims[factor]}, channel expects {d_in}")
     left = math.prod(dims[:factor])
     right = math.prod(dims[factor + 1:])
     k = np.stack(kraus_ops(e))                                  # (r, d_out, d_in)
-    t = rho.mat.reshape(left, e.d_in, right, left, e.d_in, right)
+    t = rho.mat.reshape(left, d_in, right, left, d_in, right)
     t = np.einsum("kim,ambcnd->kaibcnd", k, t)                  # K_k on the row index
     out = np.einsum("kaibcnd,kjn->aibcjd", t, k.conj())         # K_k^dag on the column
-    new_dims = dims[:factor] + (e.d_out,) + dims[factor + 1:]
+    new_dims = dims[:factor] + (d_out,) + dims[factor + 1:]
     return DensityMatrix._derived(out, new_dims)
 
 
 def cj_distance(a: Channel, b: Channel) -> float:
     """Frobenius distance between CJ matrices; < 1e-10 counts as equal."""
-    return float(np.linalg.norm(a.cj.mat - b.cj.mat))
+    return float(np.linalg.norm(a.mat - b.mat))
 
 
 def measure_prepare_from_design(g: Design) -> tuple[MeasurePrepare, Channel]:
@@ -218,7 +214,7 @@ def channel_from_measure_prepare(mp: MeasurePrepare) -> Channel:
         raise DomainError("effects do not sum to the identity")
     projectors = preps[:, :, None] * preps[:, None, :].conj()
     # (I (x) E)[|phi+><phi+|] = sum_k E_k^T / d (x) |p_k><p_k|
-    return Channel(d, d, Operator(_kron_sum(effects.transpose(0, 2, 1), projectors) / d, (d, d)))
+    return Channel(_kron_sum(effects.transpose(0, 2, 1), projectors) / d, (d, d))
 
 
 def _measure_and_prepare(

@@ -233,9 +233,11 @@ def cmd_detect(args) -> int:
 
     a = multipartite_aew(len(dims), dims[0], cut_index)
     res = detect(rho, a, cut_label=label)
-    caveats = []
-    if res.caveat:
-        caveats.append(f"{label}: threshold fired although the partial transpose is positive")
+    if args.shots is not None:
+        from .estimator import detect_with_confidence, estimator_to_dict
+
+        # sampled before anything is printed: a refused shot count prints one error line
+        ver = detect_with_confidence(rho, a, shots=args.shots, seed=args.seed, level=args.confidence)
     print(f"cut             : {res.cut}")
     print(f"value           : {res.value:.12g}")
     print(f"threshold       : {res.threshold:.12g}")
@@ -243,9 +245,6 @@ def cmd_detect(args) -> int:
     print(f"ppt oracle      : {res.ppt}")
     estimator = None
     if args.shots is not None:
-        from .estimator import detect_with_confidence, estimator_to_dict
-
-        ver = detect_with_confidence(rho, a, shots=args.shots, seed=args.seed, level=args.confidence)
         print(f"shots           : {args.shots}")
         print(f"estimate        : {ver.shot_result.estimate:.6g}")
         print(
@@ -254,7 +253,7 @@ def cmd_detect(args) -> int:
         )
         print(f"shot verdict    : {ver.verdict}")
         estimator = estimator_to_dict(ver)
-    _emit(args, report_to_dict(DetectionReport((res,), tuple(caveats), estimator=estimator)))
+    _emit(args, report_to_dict(DetectionReport((res,), estimator=estimator)))
     return OK
 
 

@@ -2,7 +2,9 @@
 
 A two-design here is a finite family of unit vectors whose projector pair sum
 reproduces 2 P_sym / (d(d+1)); a coherent design additionally has projector sum
-proportional to the identity, so it induces a measurement.
+proportional to the identity, so it induces a measurement.  A `Design` holds
+only its vectors and the residuals it computed from them when it was built, so
+its certificates are never a caller's claim.
 """
 
 from __future__ import annotations
@@ -53,20 +55,44 @@ class Fiducial:
 
 @dataclass(frozen=True, eq=False)
 class Design:
-    """Unit vectors with the residuals `make_design` verified when it built them.
+    """Unit vectors with the two-design and coherence residuals computed from them.
 
-    The vectors are held once, as a read-only copy of the (N, d) `vector_stack`.
-    `channels.measure_prepare_from_design` holds the pair it builds on the design.
+    `Design(vectors, kind)` checks the (N, d) array as one stack and holds a
+    read-only copy as `vector_stack`: any other shape, no vectors, d above
+    `linalg.MAX_DIM`, a vector off unit norm, or N < d(d+1)/2 vectors that pass
+    the two-design check is refused.  `channels.measure_prepare_from_design`
+    holds the pair it builds on the design.
     """
 
-    d: int
     vector_stack: np.ndarray
     kind: str
     two_design_residual: float
     coherence_residual: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "vector_stack", _frozen(self.vector_stack))
+    def __init__(self, vectors, kind: str = "custom"):
+        arr = _frozen(vectors)
+        if arr.ndim != 2:
+            raise DomainError(f"a design is an (N, d) array of vectors, got shape {arr.shape}")
+        n, d = arr.shape
+        if not n:
+            raise DomainError("a design needs at least one vector")
+        _refuse_oversized(d, "a design")
+        _check_unit_norm(np.linalg.norm(arr, axis=1))
+        res2 = two_design_residual(arr, d)
+        resc = coherence_residual(arr, d)
+        if res2 < TWO_DESIGN_TOL and n < d * (d + 1) // 2:
+            raise DomainError(
+                f"{n} vectors cannot form a two-design in dimension {d} "
+                f"(minimum cardinality {d * (d + 1) // 2})"
+            )
+        object.__setattr__(self, "vector_stack", arr)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "two_design_residual", res2)
+        object.__setattr__(self, "coherence_residual", resc)
+
+    @property
+    def d(self) -> int:
+        return self.vector_stack.shape[1]
 
     @property
     def n(self) -> int:
@@ -94,30 +120,6 @@ def two_design_residual(vectors: np.ndarray, d: int) -> float:
 def coherence_residual(vectors: np.ndarray, d: int) -> float:
     s = np.einsum("ka,kb->ab", vectors, vectors.conj())
     return float(np.linalg.norm(s - (len(vectors) / d) * np.eye(d)))
-
-
-def make_design(vectors, kind: str = "custom") -> Design:
-    """Bundle unit vectors with their verified two-design/coherence residuals.
-
-    `vectors` is an (N, d) array, checked as one stack; any other shape is a
-    DomainError.
-    """
-    arr = _frozen(vectors)
-    if arr.ndim != 2:
-        raise DomainError(f"a design is an (N, d) array of vectors, got shape {arr.shape}")
-    n, d = arr.shape
-    if not n:
-        raise DomainError("a design needs at least one vector")
-    _refuse_oversized(d, "a design")
-    _check_unit_norm(np.linalg.norm(arr, axis=1))
-    res2 = two_design_residual(arr, d)
-    resc = coherence_residual(arr, d)
-    if res2 < TWO_DESIGN_TOL and n < d * (d + 1) // 2:
-        raise DomainError(
-            f"{n} vectors cannot form a two-design in dimension {d} "
-            f"(minimum cardinality {d * (d + 1) // 2})"
-        )
-    return Design(d, arr, kind, res2, resc)
 
 
 def frame_potential(g: Design) -> float:
@@ -199,7 +201,7 @@ def _sic_orbit(f: Fiducial) -> np.ndarray:
 
 def sic_from_fiducial(f: Fiducial) -> Design:
     """Heisenberg-Weyl orbit of a fiducial, verified against the SIC overlap law."""
-    return make_design(_sic_orbit(f), kind="SIC")
+    return Design(_sic_orbit(f), kind="SIC")
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +255,13 @@ def _mub_prime(d: int) -> Design:
             ],
             dtype=complex,
         )
-        return make_design(vecs, kind="MUB")
+        return Design(vecs, kind="MUB")
     omega = np.exp(2j * np.pi / d)
     a = np.arange(d)[:, None, None]
     b = np.arange(d)[None, :, None]
     m = np.arange(d)[None, None, :]
     gauss = omega ** ((a * m * m + b * m) % d) / np.sqrt(d)  # [a, b, m]
-    return make_design(
-        np.concatenate([np.eye(d, dtype=complex), gauss.reshape(d * d, d)]), kind="MUB"
-    )
+    return Design(np.concatenate([np.eye(d, dtype=complex), gauss.reshape(d * d, d)]), kind="MUB")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ from .errors import DomainError
 from .linalg import DensityMatrix, _as_int, _as_seed, real_trace_product
 from .witness import ApproxWitness
 
+# the largest shot count numpy's binomial sampler takes (its count is an int64)
+MAX_SHOTS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class ShotResult:
@@ -44,12 +47,16 @@ def swap_test_probability(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def hoeffding_epsilon(shots: int, level: float) -> float:
-    """One-sided Hoeffding deviation for the overlap estimate at the given level."""
+    """One-sided Hoeffding deviation for the overlap estimate at the given level.
+
+    The one check of both: a level outside (0, 1), or a shot count that is not
+    an integer (`linalg._as_int`) in 1..MAX_SHOTS, is a DomainError.
+    """
     if not 0.0 < level < 1.0:
         raise DomainError(f"confidence level must lie in (0, 1), got {level}")
     shots = _as_int(shots, "shot count")
-    if shots < 1:
-        raise DomainError(f"shot count must be >= 1, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise DomainError(f"shot count must lie in 1..{MAX_SHOTS}, got {shots}")
     return 2.0 * np.sqrt(np.log(1.0 / (1.0 - level)) / (2.0 * shots))
 
 
@@ -62,12 +69,11 @@ def sample_overlap(
 ) -> ShotResult:
     """Simulate the ancilla statistics for `shots` repetitions, seeded.
 
-    `shots` and `seed` follow the integer rule of `linalg._as_int`; a seed
-    must also be >= 0.
+    `shots` and `level` are checked first, by `hoeffding_epsilon`; `seed`
+    follows the integer rule of `linalg._as_int` and must be >= 0.
     """
-    shots = _as_int(shots, "shot count")
-    if shots < 1:
-        raise DomainError(f"shot count must be >= 1, got {shots}")
+    eps = hoeffding_epsilon(shots, level)
+    shots = int(shots)
     seed = _as_seed(seed)
     p0 = swap_test_probability(rho, sigma)
     p0 = min(1.0, max(0.0, p0))
@@ -76,7 +82,6 @@ def sample_overlap(
     p_hat = zeros / shots
     estimate = 2.0 * p_hat - 1.0
     std_error = 2.0 * np.sqrt(p_hat * (1.0 - p_hat) / shots)
-    eps = hoeffding_epsilon(shots, level)
     return ShotResult(
         shots=shots,
         zeros=zeros,
@@ -100,8 +105,6 @@ def detect_with_confidence(
     threshold, `not-detected` when the lower bound clears it, `inconclusive`
     when the interval straddles the threshold.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"confidence level must lie in (0, 1), got {level}")
     sr = sample_overlap(rho, a.state, shots, seed, level=level)
     lo, hi = sr.confidence_interval
     if hi < a.threshold:

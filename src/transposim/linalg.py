@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -105,7 +106,8 @@ def _refuse_oversized(d: int, what: str) -> None:
 
 
 def _as_dims(dims, total: int) -> tuple[int, ...]:
-    dims = (total,) if dims is None else tuple(map(int, dims))
+    """Factor dimensions as ints, each by `_as_int`, positive and multiplying to `total`."""
+    dims = (total,) if dims is None else tuple(map(_as_int, dims, repeat("factor dimension")))
     if any(d < 1 for d in dims):
         raise DomainError(f"factor dimensions must be positive, got {dims}")
     if math.prod(dims) != total:
@@ -215,8 +217,8 @@ def basis_ket(d: int, i: int, dims=None) -> Ket:
 
 
 def identity(dims) -> Operator:
-    dims = tuple(int(d) for d in dims)
-    return Operator(np.eye(int(np.prod(dims))), dims)
+    dims = tuple(map(_as_int, dims, repeat("factor dimension")))
+    return Operator(np.eye(math.prod(dims)), dims)
 
 
 def swap_operator(d: int) -> Operator:

@@ -104,9 +104,16 @@ class CutResult:
 @dataclass(frozen=True)
 class DetectionReport:
     cuts: tuple[CutResult, ...]
-    caveats: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
     estimator: dict | None = None
+
+    @property
+    def caveats(self) -> tuple[str, ...]:
+        """One line per cut whose `caveat` flag is set, in cut order."""
+        return tuple(
+            f"{c.cut}: threshold fired although the partial transpose is positive"
+            for c in self.cuts if c.caveat
+        )
 
 
 def transpose_witness(d: int) -> Witness:
@@ -312,16 +319,7 @@ def evaluate_tripartite_example() -> DetectionReport:
     from .designs import builtin_fiducial, sic_from_fiducial
 
     rho = tripartite_example_state()
-    cuts = []
-    caveats: list[str] = []
-    for i in range(3):
-        a = multipartite_aew(3, 2, i)
-        res = detect(rho, a, cut_label=_CUT_LABELS[i])
-        cuts.append(res)
-        if res.caveat:
-            caveats.append(
-                f"{res.cut}: threshold fired although the partial transpose is positive"
-            )
+    cuts = [detect(rho, multipartite_aew(3, 2, i), cut_label=_CUT_LABELS[i]) for i in range(3)]
     plain, conj = multipartite_closed_forms(3, 2, 0, sic_from_fiducial(builtin_fiducial(2)))
     v_plain = real_trace_product(rho, plain)
     v_conj = real_trace_product(rho, conj)
@@ -331,7 +329,7 @@ def evaluate_tripartite_example() -> DetectionReport:
         "conjugated one; the sometimes-quoted value 1/18 is reproduced by none of "
         "these constructions.",
     )
-    return DetectionReport(cuts=tuple(cuts), caveats=tuple(caveats), notes=notes)
+    return DetectionReport(cuts=tuple(cuts), notes=notes)
 
 
 def report_to_dict(report: DetectionReport) -> dict:

@@ -3,6 +3,7 @@ import pytest
 
 from transposim import (
     Channel,
+    Design,
     DensityMatrix,
     DomainError,
     NotTracePreserving,
@@ -17,11 +18,9 @@ from transposim import (
     builtin_fiducial,
     channel_from_measure_prepare,
     cj_distance,
-    cj_state,
     haar_random_density,
     haar_random_ket,
     kraus_ops,
-    make_design,
     measure_prepare_from_design,
     mub_prime,
     phase_free_distance,
@@ -29,7 +28,7 @@ from transposim import (
     sic_from_fiducial,
     swap_operator,
 )
-from transposim import channels, linalg
+from transposim import linalg
 from test_kernels import count_constructions
 
 
@@ -41,16 +40,18 @@ def naive_approx_transpose(x: np.ndarray) -> np.ndarray:
 
 def depolarizing(d):
     """The channel sending every state to identity/d, built from its CJ matrix identity/d^2."""
-    return Channel(d, d, Operator(np.eye(d * d) / (d * d), (d, d)))
+    return Channel(np.eye(d * d) / (d * d), (d, d))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_the_transpose_cj_is_refused_as_not_psd(d):
     # the transpose's CJ matrix V/d has the eigenvalue -1/d on the antisymmetric subspace;
     # at d = 2 three Kraus operators with sum K^dag K off the identity by 0.5 were accepted
-    with pytest.raises(DomainError) as err:
-        Channel(d, d, Operator(swap_operator(d).mat / d, (d, d)))
-    assert str(err.value) == f"CJ matrix is not PSD (min eigenvalue {-1 / d:.3e})"
+    # the one state check names it: psd, with residual -lambda_min = 1/d
+    with pytest.raises(ValidationError) as err:
+        Channel(swap_operator(d).mat / d, (d, d))
+    assert err.value.check == "psd"
+    assert err.value.residual == pytest.approx(1 / d, rel=1e-12)
 
 
 def test_a_non_hermitian_cj_is_refused():
@@ -60,7 +61,7 @@ def test_a_non_hermitian_cj_is_refused():
     z = np.diag([1.0, -1.0])
     cj = (np.eye(4) + swap_operator(2).mat) / 6 + 0.05j * np.kron(z, z)
     with pytest.raises(ValidationError) as err:
-        Channel(2, 2, Operator(cj, (2, 2)))
+        Channel(cj, (2, 2))
     assert err.value.check == "hermitian"
     assert err.value.residual == pytest.approx(0.1)
 
@@ -69,21 +70,23 @@ def test_a_non_trace_preserving_cj_is_refused():
     # PSD, but its trace over the output factor is diag(1, 0), not identity/2:
     # the residual is d_in ||diag(1/2, -1/2)||_F = sqrt(2)
     with pytest.raises(NotTracePreserving) as err:
-        Channel(2, 2, Operator(np.diag([1.0, 0, 0, 0]), (2, 2)))
+        Channel(np.diag([1.0, 0, 0, 0]), (2, 2))
     assert err.value.residual == pytest.approx(np.sqrt(2), abs=1e-15)
 
 
 def test_a_cj_off_in_trace_by_its_whole_marginal_is_refused():
     # each entry of the marginal misses identity/8 by only CJ_TOL = 1e-10, and
     # the channel was accepted; its output on |+><+| had |tr - 1| = 6.4e-9,
-    # which DensityMatrix refuses as `trace`
+    # which DensityMatrix refuses as `trace`.  The CJ state's own trace is off
+    # by tr(Delta) = 8e-10, so the state check refuses it before the marginal
+    # (whose residual d_in ||Delta||_F, with Delta = 1e-10 J, is 6.4e-9)
     d = 8
     chi = (np.eye(d * d) + swap_operator(d).mat) / (d * (d + 1))
     chi = chi + 1e-10 / d * np.kron(np.ones((d, d)), np.eye(d))
-    with pytest.raises(NotTracePreserving) as err:
-        Channel(d, d, Operator(chi, (d, d)))
-    # d_in ||Delta||_F with Delta = 1e-10 J: the output trace's worst miss
-    assert err.value.residual == pytest.approx(6.4e-9, rel=1e-6)
+    with pytest.raises(ValidationError) as err:
+        Channel(chi, (d, d))
+    assert err.value.check == "trace"
+    assert err.value.residual == pytest.approx(8e-10, rel=1e-5)
 
 
 @pytest.mark.parametrize(
@@ -93,17 +96,32 @@ def test_a_cj_off_in_trace_by_its_whole_marginal_is_refused():
 )
 def test_a_channel_refuses_dimensions_that_do_not_fit_its_cj(d_in, d_out, size):
     with pytest.raises(DomainError):
-        Channel(d_in, d_out, Operator(np.eye(size) / size))
+        Channel(np.eye(size) / size, (d_in, d_out))
+
+
+@pytest.mark.parametrize("dims", [(4,), (2, 2, 1), (1, 2, 2)], ids=str)
+def test_a_channel_is_a_cj_state_of_exactly_two_factors(dims):
+    # Channel(2, 2, Operator(cj, (4,))) was accepted, holding cj.dims == (4,)
+    with pytest.raises(DomainError, match=r"\(d_in, d_out\)"):
+        Channel(approx_transpose(2).mat, dims)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_a_channel_is_its_cj_state(d):
+    ch = approx_transpose(d)
+    assert isinstance(ch, DensityMatrix) and ch.dims == (d, d)
+    assert (ch.d_in, ch.d_out) == (d, d)
+    assert not hasattr(ch, "cj")
 
 
 def test_a_channel_from_a_numpy_integer_holds_ints():
-    ch = Channel(np.int64(2), np.int64(2), approx_transpose(2).cj)
+    ch = Channel(approx_transpose(2).mat, (np.int64(2), np.int64(2)))
     assert type(ch.d_in) is int and type(ch.d_out) is int
 
 
 def test_a_non_square_channel_is_checked_on_its_own_dimensions():
     # trace and replace: rho (dimension 2) -> identity/3; CJ = identity/2 (x) identity/3 / 2
-    ch = Channel(2, 3, Operator(np.eye(6) / 6, (2, 3)))
+    ch = Channel(np.eye(6) / 6, (2, 3))
     out = apply_channel(ch, DensityMatrix(np.diag([1.0, 0.0])))
     assert out.dims == (3,) and np.abs(out.mat - np.eye(3) / 3).max() < 1e-15
 
@@ -129,22 +147,22 @@ def test_approx_transpose_unitality():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_cj_state_identity(d):
     target = (np.eye(d * d) + swap_operator(d).mat) / (d * (d + 1))
-    assert np.linalg.norm(cj_state(approx_transpose(d)).mat - target) < 1e-10
+    assert np.linalg.norm(approx_transpose(d).mat - target) < 1e-10
 
 
 def test_cj_state_of_identity_channel():
     d = 3
     phi = sum(np.kron(basis_ket(d, i).vec, basis_ket(d, i).vec) for i in range(d)) / np.sqrt(d)
     chi = DensityMatrix(np.outer(phi, phi.conj()), dims=(d, d))
-    ch = Channel(d, d, chi)
-    assert np.abs(cj_state(ch).mat - chi.mat).max() < 1e-12
+    ch = Channel(chi.mat, (d, d))
+    assert np.abs(ch.mat - chi.mat).max() < 1e-12
     rho = haar_random_density(d, 1)
     assert np.abs(apply_channel(ch, rho).mat - rho.mat).max() < 1e-10
 
 
 def test_a_channel_of_the_cj_state_reproduces_approx_transpose():
     chi = DensityMatrix((np.eye(4) + swap_operator(2).mat) / 6, dims=(2, 2))
-    ch = Channel(2, 2, chi)
+    ch = Channel(chi.mat, chi.dims)
     units = []
     for i in range(2):
         for j in range(2):
@@ -157,22 +175,21 @@ def test_a_channel_of_the_cj_state_reproduces_approx_transpose():
 
 
 def test_building_a_channel_runs_one_psd_test(monkeypatch):
-    chi = cj_state(approx_transpose(3))
+    chi = approx_transpose(3)
     calls, psd_violation = [], linalg._psd_violation
 
-    def counting(m):
+    def counting(m, h=None):
         calls.append(m.shape)
-        return psd_violation(m)
+        return psd_violation(m, h)
 
     monkeypatch.setattr(linalg, "_psd_violation", counting)
-    monkeypatch.setattr(channels, "_psd_violation", counting)
-    Channel(3, 3, chi)
+    Channel(chi.mat, chi.dims)
     assert calls == [(9, 9)]
 
 
 def test_cj_roundtrip_on_action():
     ch = approx_transpose(3)
-    back = Channel(3, 3, cj_state(ch))
+    back = Channel(ch.mat, ch.dims)
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -209,7 +226,7 @@ def test_kraus_view(build):
     for k in ks:
         big = np.kron(np.eye(d), k)
         rebuilt += big @ proj @ big.conj().T
-    assert np.abs(rebuilt - ch.cj.mat).max() < 1e-10
+    assert np.abs(rebuilt - ch.mat).max() < 1e-10
 
 
 @pytest.mark.parametrize("factor", [1.0, True, np.float64(1.0), "1", None, [1]])
@@ -261,8 +278,18 @@ def test_measure_prepare_mub_d5():
 
 
 def test_measure_prepare_rejects_bad_design():
-    basis = make_design(np.eye(2, dtype=complex))
+    basis = Design(np.eye(2, dtype=complex))
     with pytest.raises(DomainError):
+        measure_prepare_from_design(basis)
+
+
+def test_a_design_with_claimed_certificates_cannot_pass_as_a_two_design():
+    # Design(2, np.eye(2), "custom", 0.0, 0.0) held the caller's zero residuals, and
+    # measure_prepare_from_design returned the completely dephasing channel, at CJ
+    # distance 0.408 from the approximate transpose
+    basis = Design(np.eye(2))
+    assert basis.two_design_residual == pytest.approx(np.sqrt(1 / 6), rel=1e-12)
+    with pytest.raises(DomainError, match="two-design"):
         measure_prepare_from_design(basis)
 
 
@@ -299,7 +326,7 @@ def test_linearity():
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_cptp_certificate(d):
     # checked here without the constructor's own test: PSD spectrum and marginal identity/d
-    cj = approx_transpose(d).cj.mat
+    cj = approx_transpose(d).mat
     assert np.linalg.eigvalsh(cj)[0] > -1e-12
     marginal = np.einsum("abcb->ac", cj.reshape(d, d, d, d))
     assert np.abs(marginal - np.eye(d) / d).max() < 1e-12

@@ -71,7 +71,7 @@ def prior_inline_cj(effects, preps):
 @pytest.mark.parametrize("name", ["SIC d=2", "SIC d=3", "MUB d=2", "MUB d=5", "MUB d=7"])
 def test_measure_prepare_cj_is_bit_identical_to_the_prior_product(name):
     mp, ch = measure_prepare_from_design(design(name))
-    assert ch.cj.mat.tobytes() == prior_inline_cj(mp.effect_stack, mp.preparation_stack).tobytes()
+    assert ch.mat.tobytes() == prior_inline_cj(mp.effect_stack, mp.preparation_stack).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from transposim import (
+    Design,
     DomainError,
     Ket,
     NotPrimeError,
@@ -20,7 +21,6 @@ from transposim import (
     haar_random_density,
     hw_orbit,
     load_fiducial,
-    make_design,
     mub_prime,
     orbit_certificate,
     phase_free_distance,
@@ -141,8 +141,19 @@ def test_two_design_check_passes_for_sic_and_mub():
 
 
 def test_two_design_check_fails_for_computational_basis():
-    g = make_design(np.eye(2, dtype=complex))
+    g = Design(np.eye(2, dtype=complex))
     assert g.two_design_residual > 0.1
+
+
+def test_a_design_derives_its_dimension_and_certificates_from_its_vectors():
+    # Design(3, np.eye(2), ...) held d = 3 for vectors of length 2
+    g = Design(np.eye(2), kind="basis")
+    assert (g.d, g.n, g.kind) == (2, 2, "basis") and type(g.d) is int
+    assert g.two_design_residual == designs.two_design_residual(g.vector_stack, 2)
+    assert g.coherence_residual == designs.coherence_residual(g.vector_stack, 2)
+    assert Design(np.eye(2)).kind == "custom"
+    with pytest.raises(TypeError):
+        Design(3, np.eye(2), "custom", 0.0, 0.0)
 
 
 def test_coherence_sums():
@@ -157,7 +168,7 @@ def test_coherence_sums():
 
 def test_coherence_fails_for_skewed_family():
     s = 1 / np.sqrt(2)
-    g = make_design(np.array([[1, 0], [0, 1], [s, s]], dtype=complex))
+    g = Design(np.array([[1, 0], [0, 1], [s, s]], dtype=complex))
     # projector sum has equal diagonal 3/2 but off-diagonal 1/2
     assert g.coherence_residual > 0.5
 
@@ -165,7 +176,7 @@ def test_coherence_fails_for_skewed_family():
 def test_frame_potentials():
     assert abs(frame_potential(sic_from_fiducial(builtin_fiducial(2))) - 16 / 3) < 1e-10
     assert abs(frame_potential(mub_prime(2)) - 12.0) < 1e-10
-    single = make_design(np.array([[1.0, 0.0]], dtype=complex))
+    single = Design(np.array([[1.0, 0.0]], dtype=complex))
     assert abs(frame_potential(single) - 1.0) < 1e-15
 
 
@@ -173,14 +184,14 @@ def test_two_design_iff_frame_potential_minimum():
     for g in (sic_from_fiducial(builtin_fiducial(2)), mub_prime(2), mub_prime(3)):
         assert g.two_design_residual < 1e-10
         assert abs(frame_potential(g) - two_design_frame_potential(g.n, g.d)) < 1e-9
-    basis = make_design(np.eye(2, dtype=complex))
+    basis = Design(np.eye(2, dtype=complex))
     assert basis.two_design_residual > 1e-10
     assert abs(frame_potential(basis) - two_design_frame_potential(2, 2)) > 1e-9
 
 
 def test_conjugate_design_also_passes():
     g = sic_from_fiducial(builtin_fiducial(2))
-    conj = make_design(g.vector_stack.conj())
+    conj = Design(g.vector_stack.conj())
     assert conj.two_design_residual < 1e-10
 
 
@@ -204,14 +215,14 @@ def test_design_cardinality_bound():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: make_design(np.eye(65)),
+        lambda: Design(np.eye(65)),
         lambda: sic_from_fiducial(Fiducial(101, Ket(np.eye(101)[0]))),
         lambda: approx_transpose(65),
         lambda: transpose_witness(65),
         lambda: swap_operator(65),
         lambda: haar_random_density(65, 0),
     ],
-    ids=["make_design", "sic_from_fiducial", "approx_transpose", "transpose_witness",
+    ids=["Design", "sic_from_fiducial", "approx_transpose", "transpose_witness",
          "swap_operator", "haar_random_density"],
 )
 def test_designs_beyond_dimension_64_are_refused_before_allocation(build, monkeypatch):

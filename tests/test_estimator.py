@@ -160,3 +160,18 @@ def test_estimate_unbiasedness():
     ]
     se = 2 * np.sqrt(0.25 / 2000 / 300)
     assert abs(np.mean(estimates) - exact) < 5 * se
+
+
+def test_a_shot_count_numpy_cannot_sample_is_refused():
+    # 2**63 overflowed numpy's int64 binomial count with an OverflowError traceback
+    a = aew(transpose_witness(2))
+    for call in (
+        lambda: hoeffding_epsilon(2**63, 0.99),
+        lambda: sample_overlap(singlet(), singlet(), 2**63, 0),
+        lambda: detect_with_confidence(singlet(), a, shots=2**63, seed=0),
+    ):
+        with pytest.raises(DomainError, match="shot count"):
+            call()
+    # the largest count numpy takes is sampled
+    res = sample_overlap(singlet(), a.state, 2**63 - 1, 0)
+    assert res.shots == 2**63 - 1 and type(res.shots) is int

@@ -420,6 +420,15 @@ def test_cli_detect_rejects_shots_below_one_before_printing(tmp_path, capsys, sh
     assert "--shots" in err
 
 
+def test_cli_detect_refuses_a_shot_count_numpy_cannot_sample(tmp_path, capsys):
+    # 2**63 ended in a 20-line OverflowError traceback after the exact verdict was printed
+    argv = ["detect", "--state", singlet_file(tmp_path), "--cut", "A|B", "--shots", str(2**63)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "shot count" in err
+
+
 @pytest.mark.parametrize(
     "dims, first",
     [([2.9], [0.5, 0.0]), ([True, 2], [0.5, 0.0]), ([2], [10**400, 0])],

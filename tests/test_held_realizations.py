@@ -19,6 +19,7 @@ from transposim import (
     CalibrationError,
     ConventionMismatch,
     DensityMatrix,
+    Design,
     DomainError,
     Fiducial,
     Ket,
@@ -35,7 +36,6 @@ from transposim import (
     correction_set,
     haar_random_density,
     identity,
-    make_design,
     measure_prepare_from_design,
     mub_prime,
     partial_transpose,
@@ -84,12 +84,12 @@ def test_a_fresh_design_builds_its_own_pair_once(monkeypatch):
     assert [c is g for c in calls] == [True, False]
     for a, b in ((pair[0].effect_stack, other[0].effect_stack),
                  (pair[0].preparation_stack, other[0].preparation_stack),
-                 (pair[1].cj.mat, other[1].cj.mat)):
+                 (pair[1].mat, other[1].mat)):
         assert a.tobytes() == b.tobytes()
 
 
 def test_the_held_pair_goes_away_with_its_design():
-    g = make_design(mub_prime(3).vector_stack, kind="MUB")
+    g = Design(mub_prime(3).vector_stack, kind="MUB")
     mp, ch = measure_prepare_from_design(g)
     refs = weakref.ref(mp), weakref.ref(ch)
     del g, mp, ch
@@ -98,7 +98,7 @@ def test_the_held_pair_goes_away_with_its_design():
 
 
 def test_a_non_design_is_refused_on_every_call_and_holds_nothing(monkeypatch):
-    g = make_design(np.eye(3), kind="basis")              # coherent, not a two-design
+    g = Design(np.eye(3), kind="basis")              # coherent, not a two-design
     calls = counting(monkeypatch, channels, "_measure_prepare_from_design")
     for _ in range(2):
         with pytest.raises(DomainError, match="two-design"):
@@ -129,8 +129,8 @@ def test_the_held_factorization_gives_the_same_results_as_a_fresh_one():
     fresh_probs, fresh_out = simulate_circuit(builtin_fiducial(3), rho)
     assert probs.tobytes() == fresh_probs.tobytes()
     assert out.mat.tobytes() == fresh_out.mat.tobytes()
-    assert (channel_from_measure_prepare(build_two_step(f)).cj.mat.tobytes()
-            == channel_from_measure_prepare(build_two_step(builtin_fiducial(3))).cj.mat.tobytes())
+    assert (channel_from_measure_prepare(build_two_step(f)).mat.tobytes()
+            == channel_from_measure_prepare(build_two_step(builtin_fiducial(3))).mat.tobytes())
 
 
 def test_a_non_sic_fiducial_is_refused_on_every_call_and_holds_nothing(monkeypatch):
@@ -206,12 +206,12 @@ def record_arrays():
         "identity": identity((2, 2)).mat,
         "DensityMatrix.mat": rho.mat,
         "partial_transpose": partial_transpose(rho, 0).mat,
-        "approx_transpose.cj": approx_transpose(2).cj.mat,
+        "approx_transpose.mat": approx_transpose(2).mat,
         "mub_prime.vector_stack": g.vector_stack,
         "Design.vector_stack": sic_from_fiducial(f2).vector_stack,
         "shared MeasurePrepare.effect_stack": mp.effect_stack,
         "shared MeasurePrepare.preparation_stack": mp.preparation_stack,
-        "shared Channel.cj": ch.cj.mat,
+        "shared Channel.mat": ch.mat,
         "MeasurePrepare.effect_stack": sic_mp.effect_stack,
         "TwoStepMeasurement.kraus_diagonals": ts.kraus_diagonals,
         "TwoStepMeasurement.fourier_effects": ts.fourier_effects,
@@ -243,9 +243,9 @@ def test_the_shared_channel_stays_cptp_and_unchanged():
     # writing to the shared record used to go through after setflags(write=True)
     ch = approx_transpose(2)
     with pytest.raises(ValueError):
-        ch.cj.mat.setflags(write=True)
+        ch.mat.setflags(write=True)
     want = (np.eye(4) + np.eye(4)[[0, 2, 1, 3]]) / 6
-    assert np.array_equal(ch.cj.mat, want)
+    assert np.array_equal(ch.mat, want)
 
 
 def test_a_record_copies_its_input_and_leaves_the_caller_array_writable():
@@ -279,7 +279,7 @@ EQUAL_CONTENT_RECORDS = {
     "MeasurePrepare": lambda: MeasurePrepare(np.eye(2)[:, :, None] * np.eye(2)[:, None, :],
                                              np.eye(2)),
     "Fiducial": lambda: builtin_fiducial(2),
-    "Design": lambda: make_design(mub_prime(3).vector_stack, kind="MUB"),
+    "Design": lambda: Design(mub_prime(3).vector_stack, kind="MUB"),
     "CorrectionSet": lambda: correction_set(builtin_fiducial(2)),
     "Witness": lambda: transpose_witness(2),
     "SeparableDecomposition": lambda: SeparableDecomposition([1.0], [np.eye(2) / 2],

@@ -14,11 +14,11 @@ import pytest
 
 from transposim import (
     Channel,
+    Design,
     DomainError,
     Fiducial,
     Ket,
     MeasurePrepare,
-    Operator,
     ValidationError,
     apply_to_factor,
     build_fig2_pipeline,
@@ -30,7 +30,6 @@ from transposim import (
     haar_random_density,
     hw_orbit,
     kraus_ops,
-    make_design,
     measure_prepare_from_design,
     mub_prime,
     run_pipeline,
@@ -199,12 +198,12 @@ def test_mub_prime_matches_gauss_sum_loop(d):
     assert np.array_equal(mub_prime(d).vector_stack, np.array(rows))
 
 
-def test_make_design_checks_an_array_as_one_stack():
+def test_a_design_checks_an_array_as_one_stack():
     good = random_unit_vectors(3, 3, 5)
     scaled = good.copy()
     scaled[2] *= 1.5
     with pytest.raises(ValidationError) as err:
-        make_design(scaled)
+        Design(scaled)
     assert err.value.check == "norm"
     assert abs(err.value.residual - abs(np.linalg.norm(scaled[2]) - 1.0)) < TOL
     # a non-finite entry is refused before any norm
@@ -212,11 +211,11 @@ def test_make_design_checks_an_array_as_one_stack():
     bad[0] *= 1.5
     bad[1, 0] = np.nan
     with pytest.raises(DomainError, match="non-finite"):
-        make_design(bad)
+        Design(bad)
     # anything but an (N, d) stack is refused
     for not_a_stack in (good[0], good[None], []):
         with pytest.raises(DomainError, match=r"\(N, d\) array"):
-            make_design(not_a_stack)
+            Design(not_a_stack)
 
 
 def ref_measure_prepare_cj(effects, preps):
@@ -256,7 +255,7 @@ MP_CASES = {
 def test_channel_from_measure_prepare_matches_kron_loop(name):
     effects, preps = MP_CASES[name]()
     mp = MeasurePrepare(np.array(effects), np.array(preps))
-    got = channel_from_measure_prepare(mp).cj.mat
+    got = channel_from_measure_prepare(mp).mat
     assert np.abs(got - ref_measure_prepare_cj(effects, preps)).max() < TOL
 
 
@@ -348,7 +347,7 @@ def random_cptp_channel(d, seed):
     w, u = np.linalg.eigh(marg)
     m = np.kron(u @ np.diag(w**-0.5) @ u.conj().T / np.sqrt(d), np.eye(d))
     chi = m @ x @ m.conj().T
-    return Channel(d, d, Operator((chi + chi.conj().T) / 2, (d, d)))
+    return Channel((chi + chi.conj().T) / 2, (d, d))
 
 
 @pytest.mark.parametrize("factor", [0, 1, 2])
@@ -463,7 +462,7 @@ def count_constructions(monkeypatch, names=("Ket", "Operator")):
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_design_realization_builds_no_per_vector_wrappers(d, monkeypatch):
     # a fresh design: the shared mub_prime(d) may already hold its pair
-    g = make_design(mub_prime(d).vector_stack, kind="MUB")
+    g = Design(mub_prime(d).vector_stack, kind="MUB")
     counts = count_constructions(monkeypatch)
     measure_prepare_from_design(g)
     # only the CJ matrix: the two-design check's target is a plain real array

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from transposim import (
+    Channel,
     DensityMatrix,
     DomainError,
     Ket,
     Operator,
+    Witness,
     basis_ket,
     haar_random_density,
     haar_random_ket,
@@ -380,3 +382,31 @@ def test_psd_check_matches_eigvalsh_at_the_floor(dim, field, times_floor):
 )
 def test_psd_check_matches_eigvalsh_on_edge_matrices(m):
     assert _psd_violation(m) == eigvalsh_rule(m)
+
+
+# each record with factor dims, as a function of the dims, on a valid 4-dimensional input
+DIMS_RECORDS = {
+    "Ket": lambda dims: Ket(np.ones(4) / 2, dims=dims),
+    "Operator": lambda dims: Operator(np.eye(4), dims=dims),
+    "DensityMatrix": lambda dims: DensityMatrix(np.eye(4) / 4, dims=dims),
+    "Witness": lambda dims: Witness(swap_operator(2).mat / 2, dims=dims),
+    "Channel": lambda dims: Channel(np.eye(4) / 4, dims),
+    "identity": identity,
+}
+
+
+@pytest.mark.parametrize("record", DIMS_RECORDS)
+@pytest.mark.parametrize(
+    "dims", [(2.5, 2), (2.9, 2), (2.0, 2), (np.float64(2.0), 2), (True, 4), (2, np.True_)],
+    ids=str,
+)
+def test_factor_dims_follow_the_integer_rule(record, dims):
+    # int() read (2.5, 2) and (2.9, 2) as (2, 2) and (True, 4) as (1, 4)
+    with pytest.raises(DomainError, match="factor dimension must be an integer"):
+        DIMS_RECORDS[record](dims)
+
+
+@pytest.mark.parametrize("record", DIMS_RECORDS)
+def test_numpy_integer_factor_dims_become_ints(record):
+    dims = DIMS_RECORDS[record]((np.int64(2), np.int32(2))).dims
+    assert dims == (2, 2) and all(type(d) is int for d in dims)

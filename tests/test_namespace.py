@@ -10,12 +10,12 @@ import transposim
 EXPORTED = {
     "channels": [
         "Channel", "MeasurePrepare", "apply_channel", "apply_to_factor", "approx_transpose",
-        "channel_from_measure_prepare", "cj_distance", "cj_state", "kraus_ops",
+        "channel_from_measure_prepare", "cj_distance", "kraus_ops",
         "measure_prepare_from_design", "pointwise_transpose_fidelity",
     ],
     "designs": [
         "Design", "Fiducial", "builtin_fiducial", "fiducial_search", "frame_potential",
-        "hw_orbit", "load_fiducial", "make_design", "mub_prime", "orbit_certificate",
+        "hw_orbit", "load_fiducial", "mub_prime", "orbit_certificate",
         "save_fiducial", "sic_from_fiducial", "two_design_frame_potential",
     ],
     "errors": [

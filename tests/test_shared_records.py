@@ -14,6 +14,7 @@ import pytest
 
 from transposim import (
     DensityMatrix,
+    Design,
     DomainError,
     Fiducial,
     Ket,
@@ -30,7 +31,6 @@ from transposim import (
     haar_random_ket,
     hoeffding_epsilon,
     load_fiducial,
-    make_design,
     mub_prime,
     multipartite_aew,
     multipartite_closed_forms,
@@ -106,8 +106,8 @@ PARTIES_OF = {
 
 
 def assert_same_channel(a, b):
-    assert a.cj.mat.tobytes() == b.cj.mat.tobytes()
-    assert a.cj.dims == b.cj.dims
+    assert a.mat.tobytes() == b.mat.tobytes()
+    assert a.dims == b.dims
     assert (a.d_in, a.d_out) == (b.d_in, b.d_out)
     assert type(a.d_in) is int and type(a.d_out) is int
 
@@ -160,7 +160,7 @@ def test_the_shared_mub_equals_the_uncached_build(d):
 
 @pytest.mark.parametrize("d", SHARED_DIMS)
 def test_the_shared_records_are_read_only(d):
-    arrays = [approx_transpose(d).cj.mat]
+    arrays = [approx_transpose(d).mat]
     if d in MUB_DIMS:
         arrays.append(mub_prime(d).vector_stack)
     for arr in arrays:
@@ -309,7 +309,7 @@ def load_fiducial_of(vec, tmp_path):
 
 # each site that checks a unit norm, as a function of the vector
 UNIT_NORM_SITES = {
-    "make_design": lambda v, tmp: make_design(np.array([v, [0, 1]])),
+    "Design": lambda v, tmp: Design(np.array([v, [0, 1]])),
     "sic_from_fiducial": lambda v, tmp: sic_from_fiducial(Fiducial(2, Ket(v))),
     "load_fiducial": load_fiducial_of,
     "pointwise_transpose_fidelity": lambda v, tmp: pointwise_transpose_fidelity(

@@ -7,6 +7,8 @@ from test_kernels import count_constructions
 
 from transposim import (
     DensityMatrix,
+    DetectionReport,
+    Design,
     DomainError,
     Operator,
     aew,
@@ -19,7 +21,6 @@ from transposim import (
     haar_random_density,
     kron_ket,
     locc_expectation,
-    make_design,
     measure_prepare_from_design,
     mub_prime,
     multipartite_aew,
@@ -192,7 +193,7 @@ def test_separable_decomposition_sic_and_mub():
 
 def test_separable_decomposition_rejects_bad_design():
     with pytest.raises(DomainError):
-        separable_decomposition_of_transpose_aew(make_design(np.eye(2, dtype=complex)))
+        separable_decomposition_of_transpose_aew(Design(np.eye(2, dtype=complex)))
 
 
 def test_locc_matches_direct_trace():
@@ -373,6 +374,18 @@ def test_product_state_caveat():
     assert res.verdict == "detected"
     assert res.ppt == "PPT"
     assert res.caveat
+
+
+def test_a_reports_caveats_are_its_flagged_cuts():
+    a = multipartite_aew(3, 2, 0)
+    v = kron_ket(kron_ket(basis_ket(2, 0), basis_ket(2, 1)), basis_ket(2, 0))
+    rho = DensityMatrix(np.outer(v.vec, v.vec.conj()), dims=(2, 2, 2))
+    flagged = detect(rho, a, cut_label="A|BC")
+    plain = detect(tripartite_example_state(), a, cut_label="A|BC")
+    line = "A|BC: threshold fired although the partial transpose is positive"
+    assert DetectionReport((plain, flagged, plain)).caveats == (line,)
+    assert report_to_dict(DetectionReport((flagged,)))["caveats"] == [line]
+    assert DetectionReport((plain,)).caveats == ()
 
 
 def test_soundness_sweep():
