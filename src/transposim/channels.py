@@ -5,8 +5,12 @@ with dims (d_in, d_out): the reference copy first and the output factor
 second.  The inverse direction is E[rho] = d * tr_ref{ chi (rho^T (x) I) }.
 Every `Channel` passes the one state check and the trace-preservation
 marginal when it is built, so it is completely positive and trace preserving
-and no function here needs to ask.  Kraus views are derived on demand from
-the CJ eigendecomposition.
+and no function here needs to ask.  A channel holds its superoperator, the
+CJ matrix reshuffled once on first use, and `apply_channel` is one product
+against it.  Kraus views are derived on demand from the CJ
+eigendecomposition.  Every `MeasurePrepare` checks that its effects form a
+POVM and its preparations are unit vectors when it is built, so its output
+on a state needs no check either.
 
 The kernels work on stacked arrays rather than one operator at a time: a
 measure-and-prepare CJ matrix is one design sum `linalg._kron_sum` of the
@@ -27,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import _SHARED_MAX_DIM, COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap
-from .errors import DomainError, NotTracePreserving
+from .errors import DomainError, NotTracePreserving, ValidationError
 from .linalg import (
-    DensityMatrix, Ket, Operator, _as_int, _check_index, _check_unit_norm, _frozen, _kron_sum,
-    _memo, _refuse_oversized,
+    HERMITIAN_TOL, PSD_TOL, DensityMatrix, Ket, Operator, _as_int, _check_index,
+    _check_unit_norm, _frozen, _kron_sum, _memo, _psd_violation, _read_only, _refuse_oversized,
 )
 
 CJ_TOL = 1e-10
@@ -77,13 +81,19 @@ class Channel(DensityMatrix):
 
 @dataclass(frozen=True, eq=False)
 class MeasurePrepare:
-    """A measure-and-prepare realization: POM effects and the states prepared per outcome.
+    """A measure-and-prepare realization: POVM effects and the states prepared per outcome.
 
     Held as read-only copies of the stacks `effect_stack` (N, d, d) and
     `preparation_stack` (N, d), outcome k pairing E_k with |p_k>; stacks of
-    any other shapes, or empty ones, raise DomainError.  The two-step circuit
-    and the optics pipeline are subclasses that add the fields of their
-    construction.
+    any other shapes, or empty ones, raise DomainError.  The effects must
+    form a POVM: each E_k Hermitian within HERMITIAN_TOL and PSD above the
+    floor of `linalg._psd_violation` (else ValidationError "hermitian" or
+    "psd" with the worst effect's residual), and sum_k E_k within 1e-10 of
+    the identity (else DomainError).  Each |p_k> must be a unit vector
+    (ValidationError "norm").  So `_measure_and_prepare` returns its output
+    on a checked state unchecked.  The two-step circuit and the optics
+    pipeline are subclasses that add the fields of their construction, and
+    run these checks through `super().__post_init__()`.
     """
 
     effect_stack: np.ndarray
@@ -97,6 +107,24 @@ class MeasurePrepare:
                 f"effects of shape {effects.shape} with preparations of shape {preps.shape}, "
                 "expected (N, d, d) with (N, d) and N, d >= 1"
             )
+        _check_unit_norm(np.linalg.norm(preps, axis=1))
+        eh = effects.conj().transpose(0, 2, 1)
+        herm = float(np.abs(effects - eh).max())
+        if herm > HERMITIAN_TOL:
+            raise ValidationError("hermitian", herm)
+        # every effect's shifted Cholesky at once, as `_psd_violation` shifts each;
+        # only when one fails does `_psd_violation` decide effect by effect
+        h = (effects + eh) * 0.5
+        diag = h.reshape(n, -1)[:, :: d + 1]                   # h is new and C-ordered: a view
+        diag += PSD_TOL * np.abs(diag).max(axis=1, keepdims=True)
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            worst = max((v for v in map(_psd_violation, effects) if v is not None), default=None)
+            if worst is not None:
+                raise ValidationError("psd", worst) from None
+        if float(np.abs(effects.sum(axis=0) - np.eye(d)).max()) > 1e-10:
+            raise DomainError("effects do not sum to the identity")
         object.__setattr__(self, "effect_stack", effects)
         object.__setattr__(self, "preparation_stack", preps)
 
@@ -128,9 +156,28 @@ def _approx_transpose(d: int) -> Channel:
     return Channel(_identity_plus_swap(d), (d, d))
 
 
+def _superoperator(e: Channel) -> np.ndarray:
+    """The channel's read-only superoperator S, built once and held on the channel.
+
+    S[(a, c), (b, d)] = d_in chi[(a, b), (c, d)], shape (d_in^2, d_out^2), so
+    that Phi(x) = (vec(x) @ S) reshaped to (d_out, d_out).  A shared channel
+    holds its S for the life of the process, and a fresh one lets it go with
+    the channel.
+    """
+    def build(e: Channel) -> np.ndarray:
+        d_in, d_out = e.dims
+        # a C-ordered product, so the reshape below copies nothing
+        s = np.multiply(d_in, e.mat.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3),
+                        order="C")
+        return _read_only(s.reshape(d_in * d_in, d_out * d_out))
+
+    return _memo(e, "_superoperator", build)
+
+
 def apply_channel(e: Channel, m):
     """Apply the channel; DensityMatrix in -> DensityMatrix out, else Operator out.
 
+    One product of the flattened input with the channel's held superoperator.
     The output on a DensityMatrix is not checked again: a checked Channel
     sends a checked state to a state (the trace-norm bound at
     `Operator._derived`).  Any other input is wrapped as an Operator, with
@@ -140,21 +187,18 @@ def apply_channel(e: Channel, m):
     d_in, d_out = e.dims
     if x.shape != (d_in, d_in):
         raise DomainError(f"input has shape {x.shape}, channel expects {(d_in, d_in)}")
-    chi = e.mat.reshape(d_in, d_out, d_in, d_out)
-    out = d_in * np.einsum("abcd,ac->bd", chi, x)
+    out = (x.reshape(-1) @ _superoperator(e)).reshape(d_out, d_out)
     if isinstance(m, DensityMatrix):
         return DensityMatrix._derived(out, (d_out,))
     return Operator(out, (d_out,))
 
 
 def kraus_ops(e: Channel) -> list[np.ndarray]:
-    """Kraus operators from the CJ eigendecomposition."""
+    """Kraus operators from the CJ eigendecomposition, scaled as one (r, d_out, d_in) stack."""
     vals, vecs = np.linalg.eigh((e.mat + e.mat.conj().T) / 2)
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam > KRAUS_TOL:
-            ops.append(np.sqrt(e.d_in * lam) * v.reshape(e.dims).T)
-    return ops
+    keep = vals > KRAUS_TOL
+    k = vecs.T[keep].reshape(-1, e.d_in, e.d_out).transpose(0, 2, 1)
+    return list(np.sqrt(e.d_in * vals[keep])[:, None, None] * k)
 
 
 def apply_to_factor(e: Channel, rho: DensityMatrix, factor: int) -> DensityMatrix:
@@ -210,8 +254,6 @@ def channel_from_measure_prepare(mp: MeasurePrepare) -> Channel:
     """CJ matrix of rho -> sum_k tr{E_k rho} |p_k><p_k|."""
     effects, preps = mp.effect_stack, mp.preparation_stack      # (N, d, d), (N, d)
     d = preps.shape[1]
-    if float(np.abs(effects.sum(axis=0) - np.eye(d)).max()) > 1e-10:
-        raise DomainError("effects do not sum to the identity")
     projectors = preps[:, :, None] * preps[:, None, :].conj()
     # (I (x) E)[|phi+><phi+|] = sum_k E_k^T / d (x) |p_k><p_k|
     return Channel(_kron_sum(effects.transpose(0, 2, 1), projectors) / d, (d, d))
@@ -222,8 +264,9 @@ def _measure_and_prepare(
 ) -> tuple[np.ndarray, DensityMatrix]:
     """p_k = tr{E_k rho} and the prepared mixture sum_k p_k |p_k><p_k| (a d-dimensional state).
 
-    The mixture is checked as a DensityMatrix: a `MeasurePrepare` does not
-    check that its effects form a POVM, so nothing vouches for the output.
+    The mixture is not checked again: a `MeasurePrepare` checked its POVM and
+    its unit preparations when it was built, so it sends a checked state to a
+    state (the measure-and-prepare argument at `Operator._derived`).
     """
     preps = mp.preparation_stack
     d = preps.shape[1]
@@ -232,7 +275,7 @@ def _measure_and_prepare(
     probs = np.einsum("kij,ji->k", mp.effect_stack, rho.mat).real
     projectors = preps[:, :, None] * preps[:, None, :].conj()
     # a sum over the leading axis adds the outcomes in order, as the loop form does
-    return probs, DensityMatrix((probs[:, None, None] * projectors).sum(axis=0))
+    return probs, DensityMatrix._derived((probs[:, None, None] * projectors).sum(axis=0), (d,))
 
 
 def pointwise_transpose_fidelity(e: Channel, psi: Ket) -> float:

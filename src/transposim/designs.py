@@ -36,6 +36,7 @@ _SHARED_MAX_DIM = math.isqrt(MAX_DIM)
 class Fiducial:
     """Seed vector whose Heisenberg-Weyl orbit is intended to be a SIC family.
 
+    `ket` must be a `Ket` of dimension d (else DomainError).
     `twostep.build_two_step` and `optics.build_fig2_pipeline` hold the records
     they build on the fiducial.
     """
@@ -45,6 +46,8 @@ class Fiducial:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _as_int(self.d, "dimension"))
+        if not isinstance(self.ket, Ket):
+            raise DomainError(f"a fiducial's ket must be a Ket, got {type(self.ket).__name__}")
         if self.ket.dim != self.d:
             raise DomainError(f"fiducial vector has dimension {self.ket.dim}, expected {self.d}")
 

@@ -174,7 +174,13 @@ class Operator:
         for rho = rho_+ - rho_- gives lambda_min(Phi(rho)) >= -tr Phi(rho_-) =
         -||rho_-||_1, since a CPTP map is contractive in trace norm.  The
         output's negative part is bounded by the input's, which `DensityMatrix`
-        held above its floor.
+        held above its floor.  A checked `channels.MeasurePrepare` (a POVM
+        E_k and unit |p_k>) does the same for sum_k p_k |p_k><p_k| with real
+        p_k = tr{E_k rho}: each term is Hermitian, so the sum is Hermitian to
+        rounding; its trace is sum_k p_k <p_k|p_k> = tr{rho sum_k E_k}, so 1 up
+        to the POVM and unit-norm tolerances; and with each E_k >= 0 and
+        sum_k E_k = I, the terms from rho_- add up to a PSD matrix of trace
+        ||rho_-||_1, so the negative part is again at most ||rho_-||_1.
         """
         size = math.prod(dims)
         out = object.__new__(cls)
@@ -200,7 +206,12 @@ class DensityMatrix(Operator):
         m = self.mat
         mh = _check_hermitian(m, unit_trace=True)
         h = m + mh
-        h /= 2
+        # h feeds only the Cholesky acceptance, and a refusal's residual comes
+        # from eigvalsh on (m + m^dag)/2 formed afresh.  Halving by a real
+        # multiply skips numpy's complex division and differs from h /= 2 only
+        # in the sign of exact zeros, which changes no Cholesky pivot: accept,
+        # refuse and every residual are the same.
+        h *= 0.5
         violation = _psd_violation(m, h)
         if violation is not None:
             raise ValidationError("psd", violation)

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from transposim import (
     DomainError,
     NotTracePreserving,
     Operator,
+    MeasurePrepare,
     ValidationError,
     apply_channel,
     apply_to_factor,
@@ -25,10 +30,12 @@ from transposim import (
     mub_prime,
     phase_free_distance,
     pointwise_transpose_fidelity,
+    run_pipeline,
     sic_from_fiducial,
+    simulate_circuit,
     swap_operator,
 )
-from transposim import linalg
+from transposim import channels, linalg
 from test_kernels import count_constructions
 
 
@@ -443,3 +450,148 @@ def test_a_channel_output_is_a_state_as_computed(dims):
         assert out.mat.tobytes() == np.ascontiguousarray(expected).tobytes()
         with pytest.raises(ValueError):
             out.mat.setflags(write=True)
+
+
+# every measure-and-prepare record the package builds, each applied by its own entry point
+MP_RECORDS = {
+    **{f"sic-d{d}": (lambda d=d: measure_prepare_from_design(
+        sic_from_fiducial(builtin_fiducial(d)))[0]) for d in (2, 3)},
+    **{f"mub-d{d}": (lambda d=d: measure_prepare_from_design(mub_prime(d))[0])
+       for d in (2, 3, 5, 7)},
+    **{f"two-step-d{d}": (lambda d=d: build_two_step(builtin_fiducial(d))) for d in (2, 3)},
+    "optics-d2": lambda: build_fig2_pipeline(builtin_fiducial(2)),
+}
+
+
+def apply_record(name, mp, rho):
+    if name.startswith("two-step"):
+        return simulate_circuit(mp.fiducial, rho)
+    if name.startswith("optics"):
+        return run_pipeline(mp, rho)
+    return channels._measure_and_prepare(mp, rho)
+
+
+@pytest.mark.parametrize("name", MP_RECORDS)
+def test_a_measure_and_prepare_output_is_a_state_as_computed(name):
+    # the output is no longer checked: on seeded states of every rank it would
+    # have passed the state check, is read-only, and is the mixture
+    # sum_k p_k |p_k><p_k| computed here, bit for bit
+    mp = MP_RECORDS[name]()
+    preps = mp.preparation_stack
+    d = preps.shape[1]
+    rng = np.random.default_rng([d, len(preps)])
+    projectors = preps[:, :, None] * preps[:, None, :].conj()
+    for rank in range(1, d + 1):
+        rho = DensityMatrix(random_state(rng, d, rank))
+        probs, out = apply_record(name, mp, rho)
+        expected_probs = np.einsum("kij,ji->k", mp.effect_stack, rho.mat).real
+        mixture = (expected_probs[:, None, None] * projectors).sum(axis=0)
+        assert probs.tobytes() == expected_probs.tobytes()
+        assert isinstance(out, DensityMatrix) and out.dims == (d,)
+        DensityMatrix(out.mat)
+        assert out.mat.tobytes() == mixture.tobytes()
+        with pytest.raises(ValueError):
+            out.mat.setflags(write=True)
+
+
+QUBIT_BASIS = np.eye(2, dtype=complex)
+SKEW = np.array([[0.0, 0.1], [0.0, 0.0]])
+
+# stacks that a MeasurePrepare refused only when a channel was asked of it, or never:
+# (effects, preparations, the ValidationError check or None for DomainError, residual)
+NOT_POVM = {
+    # sums to the identity; its output on |0><0| was diag(1.5, -0.5)
+    "non-psd": ([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])], QUBIT_BASIS, "psd", 0.5),
+    "non-hermitian": ([np.eye(2) / 2 + SKEW, np.eye(2) / 2 - SKEW], QUBIT_BASIS, "hermitian", 0.1),
+    "off-identity": ([np.diag([1.0, 0.0]), np.diag([0.0, 0.9])], QUBIT_BASIS, None, None),
+    "non-unit-preparation": ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+                             np.array([[1.0, 0.0], [0.0, 1.1]]), "norm", 0.1),
+}
+
+
+@pytest.mark.parametrize("case", NOT_POVM)
+def test_a_measure_prepare_that_is_not_a_povm_is_refused_when_built(case):
+    effects, preps, check, residual = NOT_POVM[case]
+    if check is None:
+        with pytest.raises(DomainError, match="effects do not sum to the identity"):
+            MeasurePrepare(np.array(effects), preps)
+        return
+    with pytest.raises(ValidationError) as err:
+        MeasurePrepare(np.array(effects), preps)
+    assert err.value.check == check and err.value.residual == pytest.approx(residual)
+
+
+def test_a_povm_with_a_zero_effect_is_accepted():
+    # the zero effect fails the shifted Cholesky (no shift) and passes the eigvalsh rule
+    mp = MeasurePrepare(np.array([np.eye(2), np.zeros((2, 2))]), QUBIT_BASIS)
+    probs, out = channels._measure_and_prepare(mp, DensityMatrix(np.eye(2) / 2))
+    assert probs.tolist() == [1.0, 0.0]
+    assert np.array_equal(out.mat, np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("record", ["two-step-d2", "optics-d2"])
+def test_every_realization_record_checks_its_povm(record):
+    rec = MP_RECORDS[record]()
+    with pytest.raises(DomainError, match="effects do not sum to the identity"):
+        dataclasses.replace(rec, effect_stack=rec.effect_stack * 1.1)
+    with pytest.raises(ValidationError, match="norm"):
+        dataclasses.replace(rec, preparation_stack=rec.preparation_stack * 1.1)
+
+
+def einsum_channel(e, x):
+    """The channel's action written from its CJ tensor: d_in sum_ac chi[a, b, c, d] x[a, c]."""
+    d_in, d_out = e.dims
+    return d_in * np.einsum("abcd,ac->bd", e.mat.reshape(d_in, d_out, d_in, d_out), x)
+
+
+def non_square_channel():
+    """chi = I/2 (x) sigma: the channel from a qubit to a qutrit that prepares sigma."""
+    sigma = random_state(np.random.default_rng(23), 3, 2)
+    return Channel(np.kron(np.eye(2) / 2, sigma), (2, 3))
+
+
+SUPEROPERATOR_CHANNELS = {**BUILT_CHANNELS, "prepare-sigma-2to3": non_square_channel}
+
+
+@pytest.mark.parametrize("build", SUPEROPERATOR_CHANNELS.values(),
+                         ids=SUPEROPERATOR_CHANNELS.keys())
+def test_the_held_superoperator_matches_the_cj_contraction(build):
+    ch = build()
+    rng = np.random.default_rng(ch.d_in)
+    for rank in range(1, ch.d_in + 1):
+        rho = DensityMatrix(random_state(rng, ch.d_in, rank))
+        x = rng.standard_normal((ch.d_in, ch.d_in)) + 1j * rng.standard_normal((ch.d_in, ch.d_in))
+        for m in (rho, Operator(x), x):
+            out = apply_channel(ch, m)
+            assert out.dims == (ch.d_out,)
+            arr = m.mat if isinstance(m, Operator) else m
+            assert np.abs(out.mat - einsum_channel(ch, arr)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("build, shared", [(lambda: approx_transpose(3), True),
+                                           (lambda: approx_transpose(9), False),
+                                           (non_square_channel, False)],
+                         ids=["shared", "fresh", "non-square"])
+def test_the_superoperator_is_built_once_per_channel(build, shared):
+    ch = build()
+    rho = DensityMatrix(np.eye(ch.d_in) / ch.d_in)
+    apply_channel(ch, rho)
+    s = vars(ch)["_superoperator"]
+    assert s.shape == (ch.d_in ** 2, ch.d_out ** 2)
+    for _ in range(3):
+        apply_channel(ch, rho)
+        assert channels._superoperator(ch) is s
+    # a shared channel is the same record on every call; a fresh one builds its own on first use
+    if shared:
+        assert vars(build())["_superoperator"] is s
+    else:
+        assert "_superoperator" not in vars(build())
+
+
+def test_a_fresh_channels_superoperator_goes_away_with_it():
+    ch = approx_transpose(9)                              # d > 8: not a shared channel
+    apply_channel(ch, DensityMatrix(np.eye(9) / 9))
+    refs = weakref.ref(ch), weakref.ref(channels._superoperator(ch))
+    del ch
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

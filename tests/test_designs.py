@@ -93,6 +93,14 @@ def test_fiducial_refuses_a_vector_of_another_dimension(d, n):
         Fiducial(d, Ket(np.eye(n)[0]))
 
 
+@pytest.mark.parametrize("ket, name", [(np.array([1, 0]), "ndarray"), ([1, 0], "list"),
+                                       (None, "NoneType")], ids=["ndarray", "list", "None"])
+def test_fiducial_refuses_a_ket_that_is_not_a_ket(ket, name):
+    # each used to end in AttributeError: ... has no attribute 'dim'
+    with pytest.raises(DomainError, match=f"must be a Ket, got {name}"):
+        Fiducial(2, ket)
+
+
 def test_sic_rejects_basis_fiducial():
     # Z|0> = |0>, so the orbit collides and the overlap is 1 instead of 1/3
     with pytest.raises(NotSICError) as err:

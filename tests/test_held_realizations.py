@@ -212,6 +212,8 @@ def record_arrays():
         "shared MeasurePrepare.effect_stack": mp.effect_stack,
         "shared MeasurePrepare.preparation_stack": mp.preparation_stack,
         "shared Channel.mat": ch.mat,
+        "shared Channel superoperator": channels._superoperator(approx_transpose(2)),
+        "Channel superoperator": channels._superoperator(approx_transpose(9)),
         "MeasurePrepare.effect_stack": sic_mp.effect_stack,
         "TwoStepMeasurement.kraus_diagonals": ts.kraus_diagonals,
         "TwoStepMeasurement.fourier_effects": ts.fourier_effects,

@@ -475,5 +475,5 @@ def test_simulate_circuit_builds_no_assembled_operators(monkeypatch):
     f, rho = builtin_fiducial(3), haar_random_density(3, 4)
     counts = count_constructions(monkeypatch)
     simulate_circuit(f, rho)
-    # only the output state wraps an Operator
-    assert counts == {"Ket": 0, "Operator": 1}
+    # the output state is derived from the checked record, so nothing is wrapped
+    assert counts == {"Ket": 0, "Operator": 0}

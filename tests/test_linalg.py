@@ -384,6 +384,42 @@ def test_psd_check_matches_eigvalsh_on_edge_matrices(m):
     assert _psd_violation(m) == eigvalsh_rule(m)
 
 
+def signed_zero_cases():
+    """States whose zero entries carry every sign, accepted, near the floor and refused."""
+    zeros = [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]
+    blocks = [seeded_state(dim, rank, 7 * dim + rank) for dim in (1, 2, 3) for rank in (1, dim)]
+    blocks += [np.diag([1.0, -PSD_TOL * t]) / (1 - PSD_TOL * t) for t in (0.5, 0.999, 1.001, 2.0)]
+    blocks += [np.diag([1.5, -0.5]), np.diag([1.0, 0.0])]
+    cases = []
+    for i, b in enumerate(blocks):
+        n = len(b) + 2
+        m = np.full((n, n), zeros[i % 3])                 # signed zeros off the block
+        m[:2, :2] = np.diag([0.0, 0.0])                   # and a zero block on the diagonal
+        m[0, 0], m[1, 1] = complex(-0.0, -0.0), complex(0.0, -0.0)
+        m[2:, 2:] = b
+        cases.append(m)
+    return cases
+
+
+@pytest.mark.parametrize("m", signed_zero_cases())
+def test_signed_zeros_leave_the_state_check_unchanged(m):
+    # DensityMatrix halves its Hermitian part with *= 0.5, not /= 2: the two
+    # differ only in the sign of exact zeros, so every case is accepted or
+    # refused as by the /= 2 form of `_psd_violation`, with the same residual
+    mat = Operator(m).mat
+    h_div, h_mul = mat + mat.conj().T, mat + mat.conj().T
+    h_div /= 2
+    h_mul *= 0.5
+    assert np.array_equal(h_div, h_mul)
+    expected = _psd_violation(mat)
+    if expected is None:
+        DensityMatrix(m)
+    else:
+        with pytest.raises(ValidationError) as err:
+            DensityMatrix(m)
+        assert (err.value.check, err.value.residual) == ("psd", expected)
+
+
 # each record with factor dims, as a function of the dims, on a valid 4-dimensional input
 DIMS_RECORDS = {
     "Ket": lambda dims: Ket(np.ones(4) / 2, dims=dims),
