@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import _SHARED_MAX_DIM, COHERENCE_TOL, TWO_DESIGN_TOL, Design, _identity_plus_swap
-from .errors import DomainError, NotTracePreserving, ValidationError
+from .errors import DomainError, NotTracePreserving
 from .linalg import (
-    HERMITIAN_TOL, PSD_TOL, DensityMatrix, Ket, Operator, _as_int, _check_index,
-    _check_unit_norm, _frozen, _kron_sum, _memo, _psd_violation, _read_only, _refuse_oversized,
+    DensityMatrix, Ket, Operator, _as_int, _check_hermitian, _check_index, _check_psd,
+    _check_unit_norm, _frozen, _kron_sum, _memo, _read_only, _refuse_oversized,
 )
 
 CJ_TOL = 1e-10
@@ -86,14 +86,13 @@ class MeasurePrepare:
     Held as read-only copies of the stacks `effect_stack` (N, d, d) and
     `preparation_stack` (N, d), outcome k pairing E_k with |p_k>; stacks of
     any other shapes, or empty ones, raise DomainError.  The effects must
-    form a POVM: each E_k Hermitian within HERMITIAN_TOL and PSD above the
-    floor of `linalg._psd_violation` (else ValidationError "hermitian" or
-    "psd" with the worst effect's residual), and sum_k E_k within 1e-10 of
-    the identity (else DomainError).  Each |p_k> must be a unit vector
-    (ValidationError "norm").  So `_measure_and_prepare` returns its output
-    on a checked state unchecked.  The two-step circuit and the optics
-    pipeline are subclasses that add the fields of their construction, and
-    run these checks through `super().__post_init__()`.
+    form a POVM: the stack passes the state check's Hermitian and PSD rule
+    (else ValidationError "hermitian" or "psd", the worst effect's residual),
+    and sum_k E_k lies within 1e-10 of the identity (else DomainError).  Each
+    |p_k> must be a unit vector (ValidationError "norm").  So
+    `_measure_and_prepare` returns its output on a checked state unchecked.
+    The two-step circuit and the optics pipeline are subclasses that add the
+    fields of their construction, and run these checks through `super()`.
     """
 
     effect_stack: np.ndarray
@@ -108,21 +107,7 @@ class MeasurePrepare:
                 "expected (N, d, d) with (N, d) and N, d >= 1"
             )
         _check_unit_norm(np.linalg.norm(preps, axis=1))
-        eh = effects.conj().transpose(0, 2, 1)
-        herm = float(np.abs(effects - eh).max())
-        if herm > HERMITIAN_TOL:
-            raise ValidationError("hermitian", herm)
-        # every effect's shifted Cholesky at once, as `_psd_violation` shifts each;
-        # only when one fails does `_psd_violation` decide effect by effect
-        h = (effects + eh) * 0.5
-        diag = h.reshape(n, -1)[:, :: d + 1]                   # h is new and C-ordered: a view
-        diag += PSD_TOL * np.abs(diag).max(axis=1, keepdims=True)
-        try:
-            np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            worst = max((v for v in map(_psd_violation, effects) if v is not None), default=None)
-            if worst is not None:
-                raise ValidationError("psd", worst) from None
+        _check_psd(effects, _check_hermitian(effects))
         if float(np.abs(effects.sum(axis=0) - np.eye(d)).max()) > 1e-10:
             raise DomainError("effects do not sum to the identity")
         object.__setattr__(self, "effect_stack", effects)
@@ -222,7 +207,12 @@ def apply_to_factor(e: Channel, rho: DensityMatrix, factor: int) -> DensityMatri
 
 
 def cj_distance(a: Channel, b: Channel) -> float:
-    """Frobenius distance between CJ matrices; < 1e-10 counts as equal."""
+    """Frobenius distance between CJ matrices; < 1e-10 counts as equal.
+
+    Channels of different dims (d_in, d_out) are refused with DomainError.
+    """
+    if a.dims != b.dims:
+        raise DomainError(f"channels of dims {a.dims} and {b.dims} have no CJ distance")
     return float(np.linalg.norm(a.mat - b.mat))
 
 

@@ -56,6 +56,13 @@ class Fiducial:
         return self.ket.vec
 
 
+def _check_fiducial(f, d: int) -> None:
+    """Refuse (DomainError) anything but a `Fiducial` of dimension d, for a record built on it."""
+    if not isinstance(f, Fiducial) or f.d != d:
+        got = f"dimension {f.d}" if isinstance(f, Fiducial) else type(f).__name__
+        raise DomainError(f"fiducial must be a Fiducial of dimension {d}, got {got}")
+
+
 @dataclass(frozen=True, eq=False)
 class Design:
     """Unit vectors with the two-design and coherence residuals computed from them.

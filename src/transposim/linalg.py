@@ -62,9 +62,10 @@ def _memo(record, name: str, build):
 def _check_hermitian(m: np.ndarray, unit_trace: bool = False) -> np.ndarray:
     """Raise ValidationError("hermitian" | "trace", residual) past the tolerances.
 
-    Returns m^dag, formed once here, for callers that go on to m's Hermitian part.
+    `m` is one (D, D) matrix or an (N, D, D) stack with its worst residual;
+    only one matrix is asked for unit trace.  Returns m^dag for `_check_psd`.
     """
-    mh = m.conj().T
+    mh = m.conj().swapaxes(-1, -2)
     herm = float(np.abs(m - mh).max())
     if herm > HERMITIAN_TOL:
         raise ValidationError("hermitian", herm)
@@ -75,29 +76,43 @@ def _check_hermitian(m: np.ndarray, unit_trace: bool = False) -> np.ndarray:
     return mh
 
 
-def _psd_violation(m: np.ndarray, h: np.ndarray | None = None) -> float | None:
-    """-lambda_min of the Hermitian part h of m if it lies below the floor, else None.
+def _check_psd(m: np.ndarray, mh: np.ndarray) -> None:
+    """Raise ValidationError("psd", -lambda_min) if m's Hermitian part h lies below its floor.
 
-    The floor, the lowest eigenvalue still counted as nonnegative, is
-    -PSD_TOL * max|lambda|.  A Cholesky factorization of h + delta*I, delta =
-    PSD_TOL * max|h_ii|, accepts without an eigensolve: every h_ii lies in h's
-    numerical range, so delta <= PSD_TOL * max|lambda| and the factorization
-    proves lambda_min >= floor.  Only when it fails does eigvalsh on h decide
-    and give the residual.  A caller that already holds h = (m + m^dag)/2 as a
-    new C-ordered array passes it, and h is then overwritten.
+    `m` is one (D, D) matrix or an (N, D, D) stack, `mh` its m^dag from
+    `_check_hermitian`, and a matrix's floor is -PSD_TOL * max|lambda|.  A
+    Cholesky factorization of h + delta*I, delta = PSD_TOL * max|h_ii| <=
+    PSD_TOL * max|lambda| (each h_ii lies in h's numerical range), proves
+    lambda_min >= floor without an eigensolve, one for the whole stack.  Only
+    if it fails is each matrix factored alone, and eigvalsh on (m + m^dag)/2
+    gives the residual of each that fails; a stack is refused with the worst.
+    Halving h by a real multiply, not /2, flips only the signs of exact zeros
+    and so changes no Cholesky pivot.
     """
-    if h is None:
-        h = m + m.conj().T
-        h /= 2
-    diag = h.reshape(-1)[:: h.shape[0] + 1]                    # h is new and C-ordered: a view
-    diag += PSD_TOL * float(np.abs(diag).max())
+    h = m + mh
+    h *= 0.5
+    d = h.shape[-1]
+    if h.ndim == 2:                         # h is new and C-ordered: each diagonal is a view
+        diag = h.reshape(-1)[:: d + 1]
+        diag += PSD_TOL * float(np.abs(diag).max())           # a float: faster than an array
+    else:
+        diag = h.reshape(len(h), -1)[:, :: d + 1]
+        diag += PSD_TOL * np.abs(diag).max(axis=1, keepdims=True)
     try:
         np.linalg.cholesky(h)
-        return None
+        return
     except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    floor = -PSD_TOL * max(1e-30, float(np.abs(eigs).max()))
-    return float(-eigs[0]) if eigs[0] < floor else None
+        pass
+    residuals = []
+    for mi, mhi, hi in zip(*(a.reshape(-1, d, d) for a in (m, mh, h))):
+        try:
+            np.linalg.cholesky(hi)
+        except np.linalg.LinAlgError:
+            eigs = np.linalg.eigvalsh((mi + mhi) / 2)
+            if eigs[0] < -PSD_TOL * max(1e-30, float(np.abs(eigs).max())):
+                residuals.append(float(-eigs[0]))
+    if residuals:
+        raise ValidationError("psd", max(residuals))
 
 
 def _refuse_oversized(d: int, what: str) -> None:
@@ -193,28 +208,18 @@ class Operator:
 class DensityMatrix(Operator):
     """A validated quantum state: an Operator that is Hermitian, unit trace, PSD within tolerance.
 
-    This is the one state check.  A failure raises ValidationError naming the
+    This is the one state check, and POVM effects and separable factors pass
+    the same rule as stacks.  A failure raises ValidationError naming the
     first check that fails, in the order hermitian, trace, psd, with its
     residual: max|M - M^dag|, |tr M - 1| or -lambda_min.  M^dag is formed
     once, for the Hermitian residual and for the Hermitian part (M + M^dag)/2
     that the PSD test factors.  PSD is accepted by a Cholesky factorization
-    (`_psd_violation`); eigvalsh runs only to name a failure.
+    (`_check_psd`); eigvalsh runs only to name a failure.
     """
 
     def __init__(self, mat, dims=None):
         super().__init__(mat, dims)
-        m = self.mat
-        mh = _check_hermitian(m, unit_trace=True)
-        h = m + mh
-        # h feeds only the Cholesky acceptance, and a refusal's residual comes
-        # from eigvalsh on (m + m^dag)/2 formed afresh.  Halving by a real
-        # multiply skips numpy's complex division and differs from h /= 2 only
-        # in the sign of exact zeros, which changes no Cholesky pivot: accept,
-        # refuse and every residual are the same.
-        h *= 0.5
-        violation = _psd_violation(m, h)
-        if violation is not None:
-            raise ValidationError("psd", violation)
+        _check_psd(self.mat, _check_hermitian(self.mat, unit_trace=True))
 
 
 def basis_ket(d: int, i: int, dims=None) -> Ket:
@@ -402,5 +407,10 @@ def phase_free_distance(u: Ket | np.ndarray, v: Ket | np.ndarray) -> float:
 
 
 def real_trace_product(a: Operator, b: Operator) -> float:
-    """tr{a b} for Hermitian factors (imaginary part is numerical noise)."""
+    """tr{a b} for Hermitian factors (imaginary part is numerical noise).
+
+    Operators of different dimensions are refused with DomainError.
+    """
+    if a.mat.shape != b.mat.shape:
+        raise DomainError(f"operators of dimension {a.dim} and {b.dim} have no trace product")
     return float((a.mat.T * b.mat).sum().real)

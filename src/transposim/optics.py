@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import MeasurePrepare, _measure_and_prepare
-from .designs import Fiducial
+from .designs import Fiducial, _check_fiducial
 from .errors import CalibrationError, DomainError
 from .linalg import DensityMatrix, _memo, phase_free_distance
 from .twostep import build_two_step
@@ -37,8 +37,9 @@ class Fig2Pipeline(MeasurePrepare):
     Path p = 2k + l carries the effect |s_{k,l}><s_{k,l}| / 2; the transmission
     arm is k = 0.  The path effects and the prepared (conjugated) states are
     the read-only stacks `effect_stack` (4, 2, 2) and `preparation_stack`
-    (4, 2); stacks of any other shape raise DomainError.  `solved_phases`
-    holds each path's phase setting.
+    (4, 2); stacks of any other shape raise DomainError, and so does a
+    `fiducial` that is not a qubit `Fiducial`.  `solved_phases` holds each
+    path's phase setting.
     """
 
     fiducial: Fiducial
@@ -51,6 +52,7 @@ class Fig2Pipeline(MeasurePrepare):
                 f"effects of shape {self.effect_stack.shape} with preparations of shape "
                 f"{self.preparation_stack.shape}, expected (4, 2, 2) with (4, 2): four qubit paths"
             )
+        _check_fiducial(self.fiducial, 2)
 
 
 def _solve_conjugation_phase(s: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import MeasurePrepare, _measure_and_prepare
-from .designs import Fiducial, _sic_orbit, _weyl_orbit, hw_orbit
+from .designs import Fiducial, _check_fiducial, _sic_orbit, _weyl_orbit, hw_orbit
 from .errors import ConventionMismatch, DomainError
 from .linalg import DensityMatrix, Operator, _frozen, _memo, phase_free_distance
 
@@ -36,11 +36,12 @@ class TwoStepMeasurement(MeasurePrepare):
     `preparation_stack` (d^2, d) the conjugated orbit vectors, both at index
     k*d + l; `kraus_diagonals` (d, d) holds the diagonal of A_k in row k and
     `fourier_effects` (d, d, d) the projectors B_l.  Each is held as a
-    read-only copy, and a stack of another shape raises DomainError.  The
-    `assembled` tuple of `Operator`s is derived on first read, with dims (d,).
+    read-only copy, and a stack of another shape raises DomainError.  d is
+    read from the preparations, and `fiducial` must be a `Fiducial` of that
+    dimension (else DomainError).  The `assembled` tuple of `Operator`s is
+    derived on first read, with dims (d,).
     """
 
-    d: int
     fiducial: Fiducial
     kraus_diagonals: np.ndarray
     fourier_effects: np.ndarray
@@ -55,6 +56,11 @@ class TwoStepMeasurement(MeasurePrepare):
                             ("fourier_effects", (d, d, d))):
             if getattr(self, name).shape != shape:
                 raise DomainError(f"{name} of shape {getattr(self, name).shape}, expected {shape}")
+        _check_fiducial(self.fiducial, d)
+
+    @property
+    def d(self) -> int:
+        return self.preparation_stack.shape[1]
 
     @cached_property
     def assembled(self) -> tuple[Operator, ...]:
@@ -121,7 +127,7 @@ def _build_two_step(f: Fiducial) -> TwoStepMeasurement:
             f"the derived convention does not reproduce the SIC projectors (residual {worst:.3e})",
             residuals={name: worst},
         )
-    return TwoStepMeasurement(assembled, orbit.conj(), d, f, diag, effects, convention=name)
+    return TwoStepMeasurement(assembled, orbit.conj(), f, diag, effects, convention=name)
 
 
 def correction_set(f: Fiducial) -> CorrectionSet:

@@ -25,6 +25,7 @@ from .linalg import (
     _as_int,
     _check_hermitian,
     _check_index,
+    _check_psd,
     _frozen,
     _kron_sum,
     _read_only,
@@ -52,6 +53,10 @@ class SeparableDecomposition:
     """Convex product decomposition sum_k q_k tau_k (x) sigma_k.
 
     Held as read-only stacks: `weights` (N,), `left_stack` (N, a, a), `right_stack` (N, b, b).
+    The weights must be real nonnegative numbers summing to 1 (else
+    DomainError), and each factor stack must pass the state check's Hermitian
+    and PSD rule (else ValidationError, the worst factor's residual), so the
+    sum is separable.
     """
 
     weights: np.ndarray
@@ -59,18 +64,21 @@ class SeparableDecomposition:
     right_stack: np.ndarray
 
     def __init__(self, weights, left_stack, right_stack):
-        weights = np.asarray(weights, dtype=float)
+        weights = np.asarray(weights)
         # written so that a NaN weight fails both tests
-        if not np.all(weights >= 0):
+        if weights.dtype.kind not in "iuf" or not np.all(weights >= 0):
             raise DomainError("decomposition weights must be nonnegative numbers")
+        weights = weights.astype(float)
         if not abs(weights.sum() - 1.0) <= 1e-12:
             raise DomainError(f"decomposition weights sum to {weights.sum():.15g}, expected 1")
         left, right = _frozen(left_stack), _frozen(right_stack)
         for stack in (left, right):
-            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.shape[1]:
                 raise DomainError(f"a factor stack must be (N, a, a), got shape {stack.shape}")
         if not (len(left) == len(right) and weights.shape == (len(left),)):
             raise DomainError("weights and factor stacks must have equal length")
+        for stack in (left, right):
+            _check_psd(stack, _check_hermitian(stack))
         object.__setattr__(self, "weights", _read_only(weights))
         object.__setattr__(self, "left_stack", left)
         object.__setattr__(self, "right_stack", right)

@@ -181,15 +181,22 @@ def test_a_channel_of_the_cj_state_reproduces_approx_transpose():
         assert np.abs(got.mat - naive_approx_transpose(u)).max() < 1e-10
 
 
+def count_psd_checks(monkeypatch) -> list:
+    """The shape of each matrix or stack that `linalg._check_psd` is given from here on."""
+    calls, check_psd = [], linalg._check_psd
+
+    def counting(m, mh):
+        calls.append(m.shape)
+        check_psd(m, mh)
+
+    for module in (linalg, channels):
+        monkeypatch.setattr(module, "_check_psd", counting)
+    return calls
+
+
 def test_building_a_channel_runs_one_psd_test(monkeypatch):
     chi = approx_transpose(3)
-    calls, psd_violation = [], linalg._psd_violation
-
-    def counting(m, h=None):
-        calls.append(m.shape)
-        return psd_violation(m, h)
-
-    monkeypatch.setattr(linalg, "_psd_violation", counting)
+    calls = count_psd_checks(monkeypatch)
     Channel(chi.mat, chi.dims)
     assert calls == [(9, 9)]
 
@@ -304,6 +311,15 @@ def test_design_independence():
     _, a = measure_prepare_from_design(sic_from_fiducial(builtin_fiducial(2)))
     _, b = measure_prepare_from_design(mub_prime(2))
     assert cj_distance(a, b) < 1e-9
+
+
+def test_cj_distance_refuses_channels_of_different_dims():
+    # numpy's broadcast ValueError ended the (4, 4) against (9, 9) case
+    with pytest.raises(DomainError, match="no CJ distance"):
+        cj_distance(approx_transpose(2), approx_transpose(3))
+    # equal CJ shapes (6, 6), but one maps qubits to qutrits and the other back
+    with pytest.raises(DomainError, match="no CJ distance"):
+        cj_distance(Channel(np.eye(6) / 6, (2, 3)), Channel(np.eye(6) / 6, (3, 2)))
 
 
 def test_fidelity_values():
@@ -519,6 +535,26 @@ def test_a_measure_prepare_that_is_not_a_povm_is_refused_when_built(case):
     with pytest.raises(ValidationError) as err:
         MeasurePrepare(np.array(effects), preps)
     assert err.value.check == check and err.value.residual == pytest.approx(residual)
+
+
+@pytest.mark.parametrize("record", MP_RECORDS)
+def test_building_a_measure_prepare_runs_one_psd_test(record, monkeypatch):
+    rec = MP_RECORDS[record]()
+    calls = count_psd_checks(monkeypatch)
+    dataclasses.replace(rec)
+    assert calls == [rec.effect_stack.shape]
+
+
+def test_a_povm_is_refused_with_the_effect_below_its_own_floor():
+    # -lambda_min at 0.999 and at 2 times each effect's floor -PSD_TOL * max|lambda|;
+    # the third effect completes the identity and is well inside the cone
+    near = np.diag([0.5, -0.999 * linalg.PSD_TOL * 0.5])
+    below = np.diag([-2.0 * linalg.PSD_TOL * 0.25, 0.25])
+    preps = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValidationError) as err:
+        MeasurePrepare(np.array([near, below, np.eye(2) - near - below]), preps)
+    assert (err.value.check, err.value.residual) == ("psd", 2.0 * linalg.PSD_TOL * 0.25)
+    MeasurePrepare(np.array([near, np.eye(2) - near]), preps[:2])
 
 
 def test_a_povm_with_a_zero_effect_is_accepted():

@@ -15,6 +15,7 @@ import pytest
 from transposim import (
     DomainError,
     SeparableDecomposition,
+    ValidationError,
     builtin_fiducial,
     haar_random_density,
     locc_expectation,
@@ -157,6 +158,13 @@ def test_decomposition_holds_read_only_copies():
         ([0.5, 0.5], 2, 3, "equal length"),
         ([0.5, 0.5], 3, 3, "equal length"),
         ([[0.5, 0.5]], 2, 2, "equal length"),
+        # complex weights were truncated to [0.5, 0.5] with a ComplexWarning
+        (np.array([0.5 + 0.3j, 0.5 - 0.3j]), 2, 2, "nonnegative"),
+        # a list of complex weights ended in numpy's TypeError
+        ([0.5 + 0.3j, 0.5 - 0.3j], 2, 2, "nonnegative"),
+        # strings and bools were read as the numbers [0.5, 0.5] and [1, 0]
+        (["0.5", "0.5"], 2, 2, "nonnegative"),
+        ([True, False], 2, 2, "nonnegative"),
     ],
 )
 def test_decomposition_refuses_bad_weights(weights, n_left, n_right, match):
@@ -165,7 +173,24 @@ def test_decomposition_refuses_bad_weights(weights, n_left, n_right, match):
         SeparableDecomposition(weights, stack[:n_left], stack[:n_right])
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (2, 2, 2, 2)])
+PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1.0, -1.0])])
+
+
+def test_decomposition_refuses_factors_that_are_not_states():
+    # (I I + X X - Y Y + Z Z)/4 is the Bell projector |phi+><phi+|, an entangled
+    # state that was accepted as a separable decomposition of Pauli "factors"
+    flipped = PAULIS * np.array([1, 1, -1, 1])[:, None, None]
+    with pytest.raises(ValidationError) as err:
+        SeparableDecomposition([0.25] * 4, PAULIS, flipped)
+    assert (err.value.check, err.value.residual) == ("psd", 1.0)
+    basis = projector_stack(np.eye(2, dtype=complex))
+    with pytest.raises(ValidationError) as err:
+        SeparableDecomposition([0.5, 0.5], basis, basis + np.triu(np.ones((2, 2)), 1))
+    assert (err.value.check, err.value.residual) == ("hermitian", 1.0)
+
+
+# (2, 0, 0): two empty factors passed every check
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (2, 2, 2, 2), (2, 0, 0)])
 def test_decomposition_refuses_a_stack_that_is_not_square_matrices(shape):
     good = projector_stack(np.eye(2, dtype=complex))
     with pytest.raises(DomainError, match="factor stack"):

@@ -409,10 +409,20 @@ def test_record_constructors_check_and_copy_read_only_arrays():
     with pytest.raises(DomainError, match="non-finite"):
         MeasurePrepare(mp.effect_stack, owned)
     rebuilt = TwoStepMeasurement(
-        effect_stack=ts.effect_stack, preparation_stack=ts.preparation_stack, d=ts.d,
+        effect_stack=ts.effect_stack, preparation_stack=ts.preparation_stack,
         fiducial=ts.fiducial, kraus_diagonals=ts.kraus_diagonals,
         fourier_effects=ts.fourier_effects, convention=ts.convention,
     )
+    assert rebuilt.d == ts.d == 3 and type(rebuilt.d) is int
+    # d is read from the preparations: replace(ts, d=3.0) held the float 3.0
+    with pytest.raises(TypeError):
+        dataclasses.replace(ts, d=3.0)
+    # a fiducial of another dimension, and a fiducial that is no Fiducial at all
+    for rec, d, other in ((ts, 3, 2), (pipe, 2, 3)):
+        with pytest.raises(DomainError, match=f"Fiducial of dimension {d}, got dimension {other}"):
+            dataclasses.replace(rec, fiducial=builtin_fiducial(other))
+        with pytest.raises(DomainError, match=f"Fiducial of dimension {d}, got str"):
+            dataclasses.replace(rec, fiducial="x")
     assert rebuilt.kraus_diagonals.tobytes() == ts.kraus_diagonals.tobytes()
     full = np.array([np.diag(a) for a in ts.kraus_diagonals])  # (d, d, d), not the (d, d) diagonals
     with pytest.raises(DomainError, match="kraus_diagonals"):

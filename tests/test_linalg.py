@@ -19,10 +19,11 @@ from transposim import (
     partial_transpose,
     permute_subsystems,
     phase_free_distance,
+    real_trace_product,
     swap_operator,
 )
 from transposim.errors import ValidationError
-from transposim.linalg import PSD_TOL, _check_hermitian, _psd_violation
+from transposim.linalg import PSD_TOL, _check_hermitian, _check_psd
 
 
 def random_hermitian(d, seed):
@@ -69,6 +70,12 @@ def test_partial_trace_product_law():
     assert np.abs(got.mat - np.trace(a.mat) * b.mat).max() < 1e-12
     got = partial_trace(kron(a, b), keep=[0])
     assert np.abs(got.mat - np.trace(b.mat) * a.mat).max() < 1e-12
+
+
+def test_real_trace_product_refuses_operators_of_different_dimensions():
+    # the (2, 2) and (1, 1) matrices broadcast, and the product read 1.0
+    with pytest.raises(DomainError, match="no trace product"):
+        real_trace_product(DensityMatrix(np.eye(2) / 2), Operator([[1.0]]))
 
 
 def test_partial_trace_of_symmetric_cj_state():
@@ -328,8 +335,26 @@ def eigvalsh_rule(m):
     return float(-eigs[0]) if eigs[0] < floor else None
 
 
+def psd_residual(m):
+    """The residual that `_check_psd` refuses m with, or None if it accepts m."""
+    try:
+        _check_psd(m, m.conj().swapaxes(-1, -2))
+    except ValidationError as err:
+        assert err.check == "psd"
+        return err.residual
+    return None
+
+
+def assert_stack_check_matches_rule(m):
+    # m as one matrix of a stack, beside a PSD state, in either place
+    state = np.eye(len(m)) / len(m)
+    for stack in (np.array([state, m]), np.array([m, state])):
+        assert psd_residual(stack) == eigvalsh_rule(m)
+
+
 def assert_state_check_matches_rule(m):
-    assert _psd_violation(m) == eigvalsh_rule(m)
+    assert psd_residual(m) == eigvalsh_rule(m)
+    assert_stack_check_matches_rule(m)
     # a DensityMatrix checks its complex copy, so the rule is applied to that copy
     expected = eigvalsh_rule(Operator(m).mat)
     if expected is None:
@@ -381,7 +406,8 @@ def test_psd_check_matches_eigvalsh_at_the_floor(dim, field, times_floor):
     ids=["at-floor", "sigma-x", "zero"],
 )
 def test_psd_check_matches_eigvalsh_on_edge_matrices(m):
-    assert _psd_violation(m) == eigvalsh_rule(m)
+    assert psd_residual(m) == eigvalsh_rule(m)
+    assert_stack_check_matches_rule(m)
 
 
 def signed_zero_cases():
@@ -403,15 +429,17 @@ def signed_zero_cases():
 
 @pytest.mark.parametrize("m", signed_zero_cases())
 def test_signed_zeros_leave_the_state_check_unchanged(m):
-    # DensityMatrix halves its Hermitian part with *= 0.5, not /= 2: the two
+    # the state check halves its Hermitian part with *= 0.5, not /= 2: the two
     # differ only in the sign of exact zeros, so every case is accepted or
-    # refused as by the /= 2 form of `_psd_violation`, with the same residual
+    # refused as by the eigvalsh rule on the /2 form, with the same residual
     mat = Operator(m).mat
     h_div, h_mul = mat + mat.conj().T, mat + mat.conj().T
     h_div /= 2
     h_mul *= 0.5
     assert np.array_equal(h_div, h_mul)
-    expected = _psd_violation(mat)
+    expected = eigvalsh_rule(mat)
+    assert psd_residual(mat) == expected
+    assert_stack_check_matches_rule(mat)
     if expected is None:
         DensityMatrix(m)
     else:
